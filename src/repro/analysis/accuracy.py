@@ -11,16 +11,30 @@ The sampling here reuses the same mechanism: exact Lazy runs record
 empty; configurations are then evaluated *offline* against the recorded
 samples, which keeps the sweep over 23 configurations × many
 permutations cheap.
+
+The offline kernel exploits how redundant the samples are (a few
+thousand distinct line addresses and about a thousand distinct sides
+across tens of thousands of recorded addresses): the samples are
+interned once per call (:class:`_SampleTable`), and each configuration
+then encodes every distinct address once
+(:meth:`~repro.core.signature_config.SignatureConfig.flat_masks`),
+builds every distinct side's register with one OR-reduction, and runs
+Equation 1 once per distinct (W_C, receiver side) pair.  The rows are
+exactly those of building each sample's signatures one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass, replace
+from functools import reduce
+from operator import or_
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Type
 
+from repro.core.backend import resolve_backend
 from repro.core.permutation import BitPermutation
 from repro.core.rle import rle_size_bits
-from repro.core.signature import Signature
+from repro.core.signature import Signature, flat_intersects
 from repro.core.signature_config import SignatureConfig
 from repro.sim.rng import SubstreamRng
 from repro.tm.lazy import LazyScheme
@@ -35,10 +49,18 @@ def collect_tm_samples(
     seed: int = 7,
     params: TmParams = TM_DEFAULTS,
     max_samples_per_app: int = 1500,
+    backend: Optional[str] = None,
 ) -> List[DisambiguationSample]:
-    """Collect dependence-free disambiguation samples from TM runs."""
+    """Collect dependence-free disambiguation samples from TM runs.
+
+    ``backend`` names the signature backend the runs use (default:
+    ``params.sig_backend``); the samples are exact address sets, so they
+    do not depend on it.
+    """
     if apps is None:
         apps = sorted(TM_KERNELS)
+    if backend is not None:
+        params = replace(params, sig_backend=backend)
     samples: List[DisambiguationSample] = []
     for app in apps:
         traces = build_tm_workload(
@@ -61,6 +83,84 @@ def collect_tm_samples(
     return samples
 
 
+class _SampleTable:
+    """Disambiguation samples interned into distinct addresses, sides and
+    (W_C, receiver side) pairs — built once per sweep call, shared by
+    every configuration and permutation evaluated against it."""
+
+    __slots__ = ("num_samples", "addresses", "sides", "pairs", "sample_pairs",
+                 "committed")
+
+    def __init__(self, samples: Iterable[DisambiguationSample]) -> None:
+        # Sample sides are frozensets, so they key the intern dicts as is.
+        side_ids: Dict[FrozenSet[int], int] = {}
+        pair_ids: Dict[Tuple[int, int], int] = {}
+        side_id = side_ids.setdefault
+        pair_id = pair_ids.setdefault
+        sample_pairs: List[Tuple[int, int]] = []
+        committed: Counter = Counter()
+        for committed_writes, receiver_reads, receiver_writes in samples:
+            writes = side_id(committed_writes, len(side_ids))
+            reads_pair = (writes, side_id(receiver_reads, len(side_ids)))
+            writes_pair = (writes, side_id(receiver_writes, len(side_ids)))
+            committed[writes] += 1
+            sample_pairs.append((
+                pair_id(reads_pair, len(pair_ids)),
+                pair_id(writes_pair, len(pair_ids)),
+            ))
+        self.num_samples = len(sample_pairs)
+        #: Distinct address sets, indexed by side id.
+        self.sides: List[FrozenSet[int]] = list(side_ids)
+        #: Every distinct address of every side, ascending.
+        self.addresses: List[int] = sorted(set().union(*self.sides))
+        #: Distinct (W_C side id, receiver side id) pairs, by pair id.
+        self.pairs: List[Tuple[int, int]] = list(pair_ids)
+        #: Per sample: the pair ids of its (W_C, R_R) and (W_C, W_R) tests.
+        self.sample_pairs = sample_pairs
+        #: W_C side id -> number of samples committing it.
+        self.committed = committed
+
+    def registers(self, config: SignatureConfig) -> List[int]:
+        """Every side's flat signature register under ``config``: each
+        distinct address encoded once, then one OR-reduction per side."""
+        masks = dict(zip(self.addresses, config.flat_masks(self.addresses)))
+        mask_of = masks.__getitem__
+        return [reduce(or_, map(mask_of, side), 0) for side in self.sides]
+
+    def false_positive_fraction(
+        self, config: SignatureConfig, registers: Sequence[int]
+    ) -> float:
+        """Fraction of samples where Equation 1 fires on ``registers``."""
+        if not self.num_samples:
+            return 0.0
+        field_masks = config.layout.field_masks
+        fires = [
+            flat_intersects(field_masks, registers[writes], registers[receiver])
+            for writes, receiver in self.pairs
+        ]
+        positives = sum(1 for read, write in self.sample_pairs
+                        if fires[read] or fires[write])
+        return positives / self.num_samples
+
+    def average_compressed_bits(
+        self,
+        config: SignatureConfig,
+        registers: Sequence[int],
+        signature_class: Type[Signature] = Signature,
+    ) -> float:
+        """Mean RLE size of the samples' W_C registers: each distinct
+        register sized once, weighted by how many samples commit it."""
+        if not self.num_samples:
+            return 0.0
+        total = sum(
+            count * rle_size_bits(
+                signature_class.from_flat_int(config, registers[writes])
+            )
+            for writes, count in self.committed.items()
+        )
+        return total / self.num_samples
+
+
 def false_positive_fraction(
     config: SignatureConfig,
     samples: Sequence[DisambiguationSample],
@@ -70,16 +170,8 @@ def false_positive_fraction(
     Each sample's address sets are already at the configuration's
     granularity (line addresses, from the TM runs).
     """
-    if not samples:
-        return 0.0
-    false_positives = 0
-    for committed_writes, receiver_reads, receiver_writes in samples:
-        w_c = Signature.from_addresses(config, committed_writes)
-        r_r = Signature.from_addresses(config, receiver_reads)
-        w_r = Signature.from_addresses(config, receiver_writes)
-        if w_c.intersects(r_r) or w_c.intersects(w_r):
-            false_positives += 1
-    return false_positives / len(samples)
+    table = _SampleTable(samples)
+    return table.false_positive_fraction(config, table.registers(config))
 
 
 def average_compressed_bits(
@@ -88,12 +180,8 @@ def average_compressed_bits(
 ) -> float:
     """Average RLE-compressed size of the committed write signatures —
     Table 8's *Compressed Size* column, measured on this workload."""
-    if not samples:
-        return 0.0
-    total = 0
-    for committed_writes, _, _ in samples:
-        total += rle_size_bits(Signature.from_addresses(config, committed_writes))
-    return total / len(samples)
+    table = _SampleTable(samples)
+    return table.average_compressed_bits(config, table.registers(config))
 
 
 @dataclass(frozen=True)
@@ -115,33 +203,42 @@ def sweep_signature_configs(
     samples: Sequence[DisambiguationSample],
     permutations_per_config: int = 4,
     seed: int = 11,
+    backend: Optional[str] = None,
 ) -> List[AccuracyRow]:
     """Evaluate each configuration bare and under random permutations.
 
     Matches Figure 15's structure: the nominal (no-permutation) fraction
     per configuration plus the min/max over a permutation sweep.
+    ``backend`` names the signature backend whose registers (and codec)
+    size Table 8's compressed column (default: packed); the rows are
+    identical under every backend.
     """
+    signature_class = (
+        Signature if backend is None else resolve_backend(backend).signature_class
+    )
+    table = _SampleTable(samples)
     rng = SubstreamRng(seed)
     rows: List[AccuracyRow] = []
     for name in sorted(configs, key=lambda n: (len(n), n)):
         config = configs[name]
-        nominal = false_positive_fraction(config, samples)
+        registers = table.registers(config)
+        nominal = table.false_positive_fraction(config, registers)
         fractions = [nominal]
         for index in range(permutations_per_config):
-            permutation = BitPermutation.shuffled(
+            permuted = config.with_permutation(BitPermutation.shuffled(
                 config.granularity.address_bits,
                 rng.stream("figure15", name, index),
-            )
-            fractions.append(
-                false_positive_fraction(
-                    config.with_permutation(permutation), samples
-                )
-            )
+            ))
+            fractions.append(table.false_positive_fraction(
+                permuted, table.registers(permuted)
+            ))
         rows.append(
             AccuracyRow(
                 name=name,
                 full_size_bits=config.size_bits,
-                avg_compressed_bits=average_compressed_bits(config, samples),
+                avg_compressed_bits=table.average_compressed_bits(
+                    config, registers, signature_class
+                ),
                 fp_nominal=nominal,
                 fp_best=min(fractions),
                 fp_worst=max(fractions),

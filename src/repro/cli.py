@@ -479,14 +479,17 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 def _cmd_accuracy(args: argparse.Namespace) -> int:
+    sig_backend = _sig_backend_spec(args)
     samples = collect_tm_samples(
         txns_per_thread=args.txns,
         seed=args.seed,
         max_samples_per_app=args.samples,
+        backend=sig_backend,
     )
     print(f"{len(samples)} dependence-free disambiguation samples")
     rows = sweep_signature_configs(
-        TABLE8_CONFIGS, samples, permutations_per_config=args.permutations
+        TABLE8_CONFIGS, samples, permutations_per_config=args.permutations,
+        backend=sig_backend,
     )
     series = {row.name: 100.0 * row.fp_nominal for row in rows}
     print(render_bars(series, title="false positives (%)", unit="%"))
@@ -638,10 +641,11 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     # Figure 15 / Table 8 --------------------------------------------------
     samples = collect_tm_samples(
         txns_per_thread=max(4, args.tm_txns // 2), seed=args.seed,
-        max_samples_per_app=args.samples,
+        max_samples_per_app=args.samples, backend=sig_backend,
     )
     rows = sweep_signature_configs(TABLE8_CONFIGS, samples,
-                                   permutations_per_config=2)
+                                   permutations_per_config=2,
+                                   backend=sig_backend)
     f15_headers = ["Config", "Bits", "FPpct", "FPbest", "FPworst"]
     f15_rows = [
         [r.name, r.full_size_bits, 100 * r.fp_nominal, 100 * r.fp_best,
@@ -1056,6 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
     accuracy.add_argument("--txns", type=int, default=6)
     accuracy.add_argument("--seed", type=int, default=7)
     accuracy.add_argument("--permutations", type=int, default=2)
+    _add_sig_backend_argument(accuracy)
     accuracy.set_defaults(func=_cmd_accuracy)
 
     sub.add_parser(

@@ -76,17 +76,22 @@ class BitPermutation:
         # handful of table lookups and ORs instead of a per-bit loop.
         # This is the hottest operation of the whole library (every load
         # and store of every simulated thread encodes an address).
+        # Each entry extends the entry without its lowest set bit by that
+        # bit's destination (bits past ``width`` in the top byte map to
+        # nothing), so a table costs 255 steps, not 8 per entry.
         num_tables = (width + 7) // 8
         tables = []
         for table_index in range(num_tables):
             low = table_index * 8
+            dest_bits = [
+                1 << dest_of[low + bit] if low + bit < width else 0
+                for bit in range(8)
+            ]
             table = [0] * 256
-            for value in range(256):
-                permuted = 0
-                for bit in range(min(8, width - low)):
-                    if (value >> bit) & 1:
-                        permuted |= 1 << dest_of[low + bit]
-                table[value] = permuted
+            for value in range(1, 256):
+                table[value] = table[value & (value - 1)] | dest_bits[
+                    (value & -value).bit_length() - 1
+                ]
             tables.append(tuple(table))
         self._byte_tables: Tuple[Tuple[int, ...], ...] = tuple(tables)
 

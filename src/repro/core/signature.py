@@ -45,11 +45,32 @@ a per-field-list reference implementation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.core.bitvector import iter_set_bits, popcount
 from repro.core.signature_config import SignatureConfig
 from repro.errors import ConfigurationError
+
+
+def flat_intersects(
+    field_masks: Sequence[int], register: int, other: int
+) -> bool:
+    """Equation 1 on two flat registers: is ``register & other`` non-empty?
+
+    One AND, then the per-field emptiness scan of the result — the
+    intersection is empty iff *any* V_i field of it is all-zero.
+    ``field_masks`` is the layout's
+    :attr:`~repro.core.fields.ChunkLayout.field_masks`.  The single
+    flat-register form of the test: :meth:`Signature.intersects` and the
+    offline accuracy sweep both call it.
+    """
+    both = register & other
+    if not both:
+        return False
+    for mask in field_masks:
+        if not both & mask:
+            return False
+    return True
 
 
 class Signature:
@@ -220,13 +241,11 @@ class Signature:
         no intersection signature is allocated.
         """
         self._check_compatible(other)
-        both = self.to_flat_int() & other.to_flat_int()
-        if both == 0:
-            return False
-        for mask in self.config.layout.field_masks:
-            if not both & mask:
-                return False
-        return True
+        return flat_intersects(
+            self.config.layout.field_masks,
+            self.to_flat_int(),
+            other.to_flat_int(),
+        )
 
     def copy(self) -> "Signature":
         """An independent copy of the register."""

@@ -14,7 +14,7 @@ used for TM (line addresses, 26 bits) and TLS (word addresses, 30 bits).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.fields import ChunkLayout
 from repro.core.memo import (
@@ -117,6 +117,22 @@ class SignatureConfig:
                 f"chunk layout address width {self.layout.address_bits} does "
                 f"not match granularity {self.granularity.value}"
             )
+        # The permute-and-slice geometry, one (chunk_offset, chunk_mask,
+        # field_offset) triple per C_i/V_i pair, precomputed here so the
+        # encode loop (:meth:`_encode_mask`) reads one tuple per field.
+        # Not a dataclass field: excluded from eq/hash/repr, like the
+        # memos below.
+        layout = self.layout
+        object.__setattr__(
+            self,
+            "_slices",
+            tuple(
+                (chunk_offset, (1 << size) - 1, field_offset)
+                for chunk_offset, size, field_offset in zip(
+                    layout.chunk_offsets, layout.chunk_sizes, layout.field_offsets
+                )
+            ),
+        )
         # Per-address encode memo (not a dataclass field: excluded from
         # eq/hash/repr).  Configurations are shared across the many
         # signatures of a simulation, so repeated insertions of the same
@@ -166,6 +182,19 @@ class SignatureConfig:
         """Permute an address and return its chunk values (one per field)."""
         return self.layout.chunk_values(self.permutation.apply(address))
 
+    def _encode_mask(self, address: int) -> int:
+        """Permute an address and one-hot each chunk into its V_i field.
+
+        The one permute-and-slice encode loop: the memo miss paths of
+        :meth:`flat_mask` and :meth:`flat_mask_many`, and the memo-free
+        :meth:`flat_masks`, all encode through here.
+        """
+        permuted = self.permutation.apply(address)
+        mask = 0
+        for chunk_offset, chunk_mask, field_offset in self._slices:
+            mask |= 1 << (field_offset + ((permuted >> chunk_offset) & chunk_mask))
+        return mask
+
     def flat_mask(self, address: int) -> int:
         """The address's one-bit-per-field mask in the flattened signature.
 
@@ -186,9 +215,7 @@ class SignatureConfig:
             cache.hits += 1
             return mask
         cache.misses += 1
-        mask = 0
-        for offset, chunk in zip(self.layout.field_offsets, self.encode(address)):
-            mask |= 1 << (offset + chunk)
+        mask = self._encode_mask(address)
         cache.put(address, mask)
         return mask
 
@@ -205,8 +232,7 @@ class SignatureConfig:
         cache = self._flat_mask_cache
         data = cache._data
         get = data.get
-        field_offsets = self.layout.field_offsets
-        encode = self.encode
+        encode = self._encode_mask
         accumulated = 0
         hits = 0
         seen = set()
@@ -220,13 +246,22 @@ class SignatureConfig:
                 hits += 1
             else:
                 cache.misses += 1
-                mask = 0
-                for offset, chunk in zip(field_offsets, encode(address)):
-                    mask |= 1 << (offset + chunk)
+                mask = encode(address)
                 cache.put(address, mask)
             accumulated |= mask
         cache.hits += hits
         return accumulated
+
+    def flat_masks(self, addresses: "Iterable[int]") -> List[int]:
+        """Each address's :meth:`flat_mask`, in order, bypassing the memo.
+
+        The table-building kernel of offline sweeps that encode a set of
+        distinct addresses once per configuration (and usually once per
+        short-lived permuted configuration): a memo would only add probe
+        and insertion cost there, so this neither reads nor fills it and
+        leaves its counters untouched.
+        """
+        return list(map(self._encode_mask, addresses))
 
     def with_permutation(self, permutation: BitPermutation) -> "SignatureConfig":
         """The same configuration under a different bit permutation."""

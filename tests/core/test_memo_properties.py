@@ -9,7 +9,12 @@ they are *strictly semantics-preserving*; these properties pin that:
 * :class:`~repro.core.decode.CachedDecoder` must return exactly what the
   uncached :class:`~repro.core.decode.DeltaDecoder` computes, including
   across cache-eviction boundaries (exercised with a deliberately tiny
-  capacity).
+  capacity);
+* the memo-free table encode ``flat_masks`` and the flat-register
+  Equation 1 helper ``flat_intersects`` (the accuracy sweep's kernels)
+  must agree with the memoised single and batch encodes and with
+  ``Signature.intersects``, under random permutations too, and
+  ``flat_masks`` must leave the encode memo exactly as it found it.
 """
 
 import random
@@ -18,8 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.backend.pure import PureSignature
 from repro.core.decode import CachedDecoder, DeltaDecoder
-from repro.core.signature import Signature
+from repro.core.permutation import BitPermutation
+from repro.core.signature import Signature, flat_intersects
 from repro.core.signature_config import TABLE8_CHUNKS, table8_config
 from repro.mem.address import Granularity
 
@@ -116,3 +123,69 @@ def test_cached_decoder_exact_across_eviction_boundaries(name):
 
     assert cache.evictions > evictions_before
     assert len(cache) <= 2
+
+
+# None keeps the configuration's own (identity) permutation; a seed
+# rewires it with a random one.
+permutation_seeds = st.one_of(st.none(), st.integers(min_value=0, max_value=2**32))
+
+
+def _permuted(config, seed):
+    if seed is None:
+        return config
+    return config.with_permutation(BitPermutation.shuffled(
+        config.granularity.address_bits, random.Random(seed)
+    ))
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: (
+    f"{c.name}-{c.granularity.value}"
+))
+@settings(max_examples=10, deadline=None)
+@given(seed=permutation_seeds, shared=address_lists, xs=address_lists,
+       ys=address_lists)
+def test_encode_kernels_agree(config, seed, shared, xs, ys):
+    """``flat_masks`` is the per-address ``flat_mask``; its OR-fold is
+    ``flat_mask_many``; ``flat_intersects`` is ``Signature.intersects``
+    and the per-field definition of Equation 1."""
+    config = _permuted(config, seed)
+    mask = _mask_for(config)
+    a = [address & mask for address in shared + xs]
+    b = [address & mask for address in shared + ys]
+
+    masks = config.flat_masks(a)
+    assert masks == [config.flat_mask(address) for address in a]
+    folded = 0
+    for value in masks:
+        folded |= value
+    assert folded == config.flat_mask_many(a)
+
+    left = Signature.from_addresses(config, a)
+    right = Signature.from_addresses(config, b)
+    per_field = all(
+        x & y
+        for x, y in zip(
+            PureSignature.from_addresses(config, a).fields,
+            PureSignature.from_addresses(config, b).fields,
+        )
+    )
+    assert flat_intersects(
+        config.layout.field_masks, left.to_flat_int(), right.to_flat_int()
+    ) == left.intersects(right) == per_field
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs, permutation_seeds, address_lists, address_lists)
+def test_flat_masks_leaves_the_memo_untouched(config, seed, warm, raw):
+    """The memo-free kernel neither reads, fills, nor counts in the
+    ``flat_mask`` memo — whether its addresses are memoised or not."""
+    config = _permuted(config, seed)
+    mask = _mask_for(config)
+    for address in warm:
+        config.flat_mask(address & mask)
+    cache = config._flat_mask_cache
+    before = (list(cache._data.items()), cache.hits, cache.misses,
+              cache.evictions)
+    config.flat_masks([address & mask for address in warm + raw])
+    assert (list(cache._data.items()), cache.hits, cache.misses,
+            cache.evictions) == before

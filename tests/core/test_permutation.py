@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.permutation import BitPermutation
@@ -88,6 +88,24 @@ class TestApply:
         for dest, src in enumerate(perm.sources):
             expected |= ((address >> src) & 1) << dest
         assert perm.apply(address) == expected
+
+    @pytest.mark.parametrize("width", [26, 30])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           addresses=st.lists(st.integers(min_value=0), max_size=16))
+    def test_apply_matches_per_bit_at_address_widths(self, width, seed, addresses):
+        """The line (26-bit) and word (30-bit) widths, random wirings:
+        every byte value at every byte position (so every table entry),
+        plus arbitrary addresses, against the per-bit definition."""
+        perm = BitPermutation.shuffled(width, random.Random(seed))
+        probes = [value << shift for shift in range(0, width, 8)
+                  for value in range(256)]
+        for address in probes + addresses:
+            address &= (1 << width) - 1
+            expected = 0
+            for dest, src in enumerate(perm.sources):
+                expected |= ((address >> src) & 1) << dest
+            assert perm.apply(address) == expected
 
     def test_destination_of_out_of_range(self):
         with pytest.raises(IndexError):
