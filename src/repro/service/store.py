@@ -42,7 +42,7 @@ import pathlib
 import sqlite3
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import JobStateError, ServiceError, UnknownJobError
 from repro.runner import canonical_json
@@ -420,11 +420,6 @@ class JobStore:
                 (job_id, since),
             ).fetchall()
         return [row["payload_json"] for row in rows]
-
-    def iter_events(self, job_id: str) -> Iterator[Dict[str, Any]]:
-        """Decoded events of one job, in order (test/report helper)."""
-        for line in self.events_after(job_id, 0):
-            yield json.loads(line)
 
     # ------------------------------------------------------------------
     # Recovery
