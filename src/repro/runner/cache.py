@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import pathlib
+import socket
 import tempfile
 import time
 from functools import lru_cache
@@ -40,7 +41,32 @@ _FINGERPRINT_EXCLUDED = ("runner", "service")
 #: How old (seconds) an in-flight claim may grow before another opener is
 #: allowed to break it.  A claim this stale belongs to a process that was
 #: killed without releasing — no single grid point runs for an hour.
+#: Claims whose owner is provably dead (same host, pid gone) are broken
+#: at once instead; the TTL covers owners that cannot be checked.
 DEFAULT_CLAIM_TTL = 3600.0
+
+
+def _claim_owner_is_dead(text: str) -> bool:
+    """Whether a claim's recorded owner is a process known to be gone.
+
+    Only a claim written on *this* host can be checked (``os.kill(pid,
+    0)``); another host's claim, a legacy pid-only claim, or one whose
+    owner is still mid-write proves nothing and is left to the TTL.
+    """
+    try:
+        owner = json.loads(text)
+        host, pid = owner["host"], int(owner["pid"])
+    except (ValueError, TypeError, KeyError):
+        return False
+    if host != socket.gethostname() or pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        return False  # exists but belongs to another user
+    return False
 
 
 @lru_cache(maxsize=1)
@@ -76,24 +102,25 @@ class ResultCache:
         self.metrics = metrics
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._sweep_stale_temporaries()
+        self._sweep_crash_leftovers()
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
 
-    def _sweep_stale_temporaries(self) -> None:
-        """Remove ``*.tmp`` leftovers of writers that died mid-``put``.
+    def _sweep_crash_leftovers(self) -> None:
+        """Remove what killed writers left behind.
 
-        Every writer uses a unique temporary name, so anything matching
-        the pattern is either an orphan or an *in-flight* write from a
-        live process — deleting the latter is tolerated too, because
-        :meth:`put` retries once when its temporary vanishes.
+        Every writer uses a unique temporary name, so any ``*.tmp`` is
+        either an orphan or an *in-flight* write from a live process —
+        deleting the latter is tolerated too, because :meth:`put`
+        retries once when its temporary vanishes.
 
-        ``*.claim`` files are deliberately left alone: unlike a unique
-        temporary, a claim is *supposed* to be visible to concurrent
-        openers (it is what makes them wait instead of recompute), so
-        only age can prove one stale — see :meth:`break_stale_claim`.
+        A ``*.claim`` is *supposed* to be visible to concurrent openers
+        (it is what makes them wait instead of recompute), so only claims
+        whose owner is provably dead are swept here — a process killed
+        between publishing an entry and releasing its claim would
+        otherwise leave a claim that no later lookup ever touches.
         """
         for stale in self.directory.glob("*.tmp"):
             try:
@@ -101,6 +128,8 @@ class ResultCache:
             except OSError:
                 continue  # concurrently published or swept by another opener
             self._count("cache.swept_tmp")
+        for claim in self.directory.glob("*.claim"):
+            self.break_stale_claim(claim.stem, ttl=float("inf"))
 
     def key_for(self, payload: Dict[str, Any]) -> str:
         """The cache key of a grid-point payload under the current code."""
@@ -132,7 +161,9 @@ class ResultCache:
 
         Returns ``False`` when another claimer already holds it.
         ``O_CREAT | O_EXCL`` makes the race winner unambiguous even
-        across processes sharing the directory.
+        across processes sharing the directory.  The claim records its
+        owner's host and pid, so a dead owner's claim can be broken
+        without waiting out the TTL (:meth:`break_stale_claim`).
         """
         try:
             handle = os.open(
@@ -142,9 +173,10 @@ class ResultCache:
         except FileExistsError:
             return False
         except OSError:
-            return False  # unwritable directory: fall back to computing
+            return True  # unwritable directory: compute unclaimed
+        owner = {"host": socket.gethostname(), "pid": os.getpid()}
         with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(f"{os.getpid()}\n")
+            stream.write(canonical_json(owner) + "\n")
         self._count("cache.claims_acquired")
         return True
 
@@ -162,17 +194,21 @@ class ResultCache:
     def break_stale_claim(
         self, key: str, ttl: float = DEFAULT_CLAIM_TTL
     ) -> bool:
-        """Remove a claim older than ``ttl`` seconds (a dead claimer's).
+        """Remove a dead claimer's claim.
 
-        Returns ``True`` if a stale claim was removed — the caller may
-        then :meth:`try_claim` the key itself.
+        A claim is dead when its owner is a process on this host that no
+        longer exists, or — for owners that cannot be checked (another
+        host, a legacy pid-only claim) — once it is older than ``ttl``
+        seconds.  Returns ``True`` if a claim was removed — the caller
+        may then :meth:`try_claim` the key itself.
         """
         path = self._claim_path(key)
         try:
             age = time.time() - path.stat().st_mtime
+            owner = path.read_text(encoding="utf-8")
         except OSError:
             return False  # already released
-        if age <= ttl:
+        if age <= ttl and not _claim_owner_is_dead(owner):
             return False
         try:
             os.unlink(path)
