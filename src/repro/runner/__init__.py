@@ -4,7 +4,9 @@ The evaluation's figure and table drivers all reduce to sweeping
 ``run_tm_comparison`` / ``run_tls_comparison`` /
 ``run_checkpoint_comparison`` over an (application × seed × knob) grid.  This package runs such grids across worker
 processes with deterministic merging, per-point retry, and an on-disk
-result cache keyed by parameters *and* simulator code — see
+result cache keyed by parameters *and* simulator code.  One
+point-resolution engine (:func:`resolve_point`: hit, claim and compute,
+or wait) serves both :class:`GridRunner` and the job service — see
 ``docs/RUNNER.md`` for the full contract.
 
 >>> from repro.runner import GridRunner, tm_point
@@ -18,8 +20,13 @@ from repro.runner.cache import (
     ResultCache,
     code_fingerprint,
 )
-from repro.runner.grid import (
+from repro.runner.engine import (
     FailureRecord,
+    Resolution,
+    load_failure_records,
+    resolve_point,
+)
+from repro.runner.grid import (
     GridExecutionError,
     GridPoint,
     GridResult,
@@ -27,7 +34,6 @@ from repro.runner.grid import (
     checkpoint_point,
     default_jobs,
     execution_cost,
-    load_failure_records,
     submission_order,
     tls_point,
     tm_point,
@@ -46,6 +52,7 @@ __all__ = [
     "GridPoint",
     "GridResult",
     "GridRunner",
+    "Resolution",
     "ResultCache",
     "canonical_json",
     "checkpoint_point",
@@ -55,6 +62,7 @@ __all__ = [
     "default_jobs",
     "execution_cost",
     "load_failure_records",
+    "resolve_point",
     "submission_order",
     "tls_point",
     "tm_point",

@@ -2,10 +2,11 @@
 
 The evaluation sweeps are embarrassingly parallel: every (application ×
 seed × knob) grid point is an independent, deterministic simulation.
-:class:`GridRunner` fans the points of a grid out over a
-:class:`concurrent.futures.ProcessPoolExecutor` and merges the results
-deterministically — the merged output is **byte-identical** for any
-worker count, because
+:class:`GridRunner` resolves each point through the point-resolution
+engine (:mod:`repro.runner.engine`) on ``jobs`` threads, executing on a
+warm :class:`concurrent.futures.ProcessPoolExecutor`, and merges the
+results deterministically — the merged output is **byte-identical** for
+any worker count, because
 
 * each point's result is reduced to its canonical JSON form
   (:mod:`repro.runner.serialize`) inside the worker, and
@@ -15,20 +16,16 @@ worker count, because
 Failures are retried per point; whatever still fails after the retry
 budget lands in the runner's :attr:`~GridRunner.failure_log` instead of
 poisoning the whole sweep.  With a cache directory configured
-(:mod:`repro.runner.cache`), finished points are persisted and re-running
-a sweep only recomputes points whose parameters or simulator code
-changed.
+(:mod:`repro.runner.cache`), finished points are persisted, re-running a
+sweep only recomputes points whose parameters or simulator code changed,
+and in-flight claims make concurrent runners and the job service
+sharing the directory compute each point exactly once.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import time
-import traceback
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -43,6 +40,7 @@ from typing import (
 
 from repro.errors import SimulationError
 from repro.runner.cache import DEFAULT_CLAIM_TTL, ResultCache
+from repro.runner.engine import FailureRecord, Resolution, resolve_point
 from repro.runner.serialize import (
     canonical_json,
     comparison_from_dict,
@@ -217,6 +215,20 @@ def _execute_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def point_executor(
+    pool: Optional[ProcessPoolExecutor] = None,
+) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
+    """The ``execute`` callable of the resolution engine: run
+    :func:`_execute_point` inline, or on ``pool`` and wait for it.
+
+    The function is looked up at call time, so a substituted module
+    attribute (the tests' fake simulations) takes effect inline.
+    """
+    if pool is None:
+        return lambda payload: _execute_point(payload)
+    return lambda payload: pool.submit(_execute_point, payload).result()
+
+
 def _warm_worker() -> None:
     """Pool-worker initializer: pre-import and pre-build the hot state.
 
@@ -250,101 +262,6 @@ def _warm_worker() -> None:
 
 
 @dataclass
-class FailureRecord:
-    """One failed execution attempt of one grid point."""
-
-    key: str
-    attempt: int
-    error: str
-    traceback: str
-
-
-def _failure_from_dict(row: Any) -> Optional[FailureRecord]:
-    """A persisted failure row as a record, or ``None`` if malformed."""
-    if not isinstance(row, dict):
-        return None
-    try:
-        return FailureRecord(
-            key=str(row["key"]),
-            attempt=int(row["attempt"]),
-            error=str(row["error"]),
-            traceback=str(row.get("traceback", "")),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def load_failure_records(
-    directory: "str | os.PathLike[str]",
-    warn: Optional[Callable[[str], None]] = None,
-) -> List[FailureRecord]:
-    """Every failure record persisted under a cache directory.
-
-    Reads the append-only ``failures.jsonl`` (one JSON object per
-    line), plus the legacy ``failures.json`` array of pre-JSONL releases
-    — kept readable for one release so existing cache directories keep
-    their history.
-
-    Malformed lines are *reported*, not silently dropped: each one is
-    described (``file:line`` plus the reason) through ``warn``, which
-    defaults to :func:`warnings.warn` — a corrupted failure log hiding
-    real failure history is itself a failure worth surfacing.  The one
-    expected exception is a killed writer's torn tail: an unterminated
-    final line is normal crash residue and stays silent.
-    """
-    if warn is None:
-        warn = lambda message: warnings.warn(message, stacklevel=3)  # noqa: E731
-    directory = pathlib.Path(directory)
-    records: List[FailureRecord] = []
-    legacy = directory / "failures.json"
-    if legacy.exists():
-        rows: Any = []
-        try:
-            rows = json.loads(legacy.read_text(encoding="utf-8"))
-        except OSError as error:
-            warn(f"{legacy}: unreadable legacy failure log ({error})")
-        except json.JSONDecodeError as error:
-            warn(f"{legacy}: malformed legacy failure log ({error})")
-        if not isinstance(rows, list):
-            if rows:
-                warn(f"{legacy}: legacy failure log is not a JSON array")
-            rows = []
-        for index, row in enumerate(rows, start=1):
-            record = _failure_from_dict(row)
-            if record is None:
-                warn(f"{legacy}: entry {index} is not a failure record")
-            else:
-                records.append(record)
-    path = directory / "failures.jsonl"
-    if path.exists():
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as error:
-            warn(f"{path}: unreadable failure log ({error})")
-            text = ""
-        torn_tail = bool(text) and not text.endswith("\n")
-        lines = text.splitlines()
-        for number, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            is_tail = torn_tail and number == len(lines)
-            try:
-                row = json.loads(stripped)
-            except json.JSONDecodeError as error:
-                if not is_tail:
-                    warn(f"{path}:{number}: malformed failure record "
-                         f"({error})")
-                continue  # a killed writer's torn tail stays silent
-            record = _failure_from_dict(row)
-            if record is None:
-                warn(f"{path}:{number}: not a failure record")
-            else:
-                records.append(record)
-    return records
-
-
-@dataclass
 class GridResult:
     """The deterministic merge of one grid execution."""
 
@@ -352,8 +269,8 @@ class GridResult:
     results: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Keys that were served from the on-disk cache.
     cached_keys: List[str] = field(default_factory=list)
-    #: Keys whose results a *concurrent* runner computed while this one
-    #: waited on its claim (shared-cache mode only).
+    #: Keys whose results a *concurrent* runner (or the job service)
+    #: computed while this one waited on its claim.
     deduped_keys: List[str] = field(default_factory=list)
     #: Every failed attempt (including ones whose point later succeeded).
     failures: List[FailureRecord] = field(default_factory=list)
@@ -434,6 +351,12 @@ class GridRunner:
         point runs at most ``retries + 1`` times).
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables caching.
+        The directory may be shared with concurrent runners and the job
+        service: every point is claimed before it executes, and points
+        another claimer holds are awaited instead of recomputed, so
+        each point is computed exactly once between them.  Results are
+        byte-identical either way — simulations are deterministic, so
+        dedupe only changes *who* computes, never *what*.
     observability:
         Instrument every point with a per-worker metrics registry and
         event tracer; snapshots/summaries land on the
@@ -441,21 +364,13 @@ class GridRunner:
         canonical key order.  Instrumented and uninstrumented runs use
         distinct cache keys, and the simulation results themselves are
         unaffected either way.
-    shared:
-        Treat the cache directory as *shared with concurrent runners*
-        (other processes, the job service's workers): before executing a
-        point, claim its cache key; points another runner has already
-        claimed are awaited instead of recomputed, so N runners sweeping
-        the same grid compute every point exactly once.  Requires
-        ``cache_dir``.  Results are byte-identical either way — the
-        simulations are deterministic, so dedupe only changes *who*
-        computes, never *what*.
     poll_interval:
         Seconds between cache polls while awaiting a point another
-        runner claimed (shared mode only).
+        claimer holds.
     claim_ttl:
-        Seconds after which another runner's claim is presumed dead and
-        broken (shared mode only).
+        Seconds after which a claim whose owner cannot be checked
+        (another host's) is presumed dead and broken; a same-host
+        claim whose process is gone is broken at once.
     """
 
     def __init__(
@@ -464,7 +379,6 @@ class GridRunner:
         retries: int = 1,
         cache_dir: "Optional[str | os.PathLike[str]]" = None,
         observability: bool = False,
-        shared: bool = False,
         poll_interval: float = 0.05,
         claim_ttl: float = DEFAULT_CLAIM_TTL,
     ) -> None:
@@ -472,8 +386,6 @@ class GridRunner:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if shared and cache_dir is None:
-            raise ValueError("shared mode requires a cache_dir")
         if poll_interval <= 0:
             raise ValueError("poll_interval must be > 0")
         self.jobs = default_jobs() if jobs is None else jobs
@@ -492,14 +404,9 @@ class GridRunner:
             self.cache_metrics = None
             self.cache = None
         self.observability = observability
-        self.shared = shared
         self.poll_interval = poll_interval
         self.claim_ttl = claim_ttl
         self.failure_log: List[FailureRecord] = []
-
-    def _count_cache(self, name: str) -> None:
-        if self.cache_metrics is not None:
-            self.cache_metrics.counter(name).inc()
 
     def _payload(self, point: GridPoint) -> Dict[str, Any]:
         """The point's execution/cache payload.  Only observability runs
@@ -509,10 +416,6 @@ class GridRunner:
         if self.observability:
             payload["obs"] = True
         return payload
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
 
     def run(
         self, points: Iterable[GridPoint], allow_failures: bool = False
@@ -529,241 +432,82 @@ class GridRunner:
             raise ValueError("grid contains points with duplicate keys")
 
         result = GridResult()
-        computed: Dict[str, Dict[str, Any]] = {}
-        pending: List[GridPoint] = []
+        resolutions = self._resolve_all(submission_order(ordered))
+        dead: List[str] = []
         for point in ordered:
-            cached = self._cache_lookup(point)
-            if cached is not None:
-                computed[point.key] = cached
+            resolution = resolutions[point.key]
+            result.failures.extend(resolution.failures)
+            entry = resolution.value
+            if entry is None:
+                dead.append(point.key)
+                continue
+            if self.observability:
+                result.results[point.key] = entry["comparison"]
+                result.metrics[point.key] = entry["metrics"]
+                result.traces[point.key] = entry["trace"]
+            else:
+                result.results[point.key] = entry
+            if resolution.outcome == "cached":
                 result.cached_keys.append(point.key)
-            else:
-                pending.append(point)
-
-        if pending:
-            # Longest-processing-time-first: a trailing expensive TM
-            # point must not execute alone after the cheap points drain.
-            pending = submission_order(pending)
-            if self.shared and self.cache is not None:
-                computed.update(self._run_shared(pending, result))
-            else:
-                if self.jobs > 1 and len(pending) > 1:
-                    executed = self._run_pool(pending, result.failures)
-                else:
-                    executed = self._run_serial(pending, result.failures)
-                for point in pending:
-                    if point.key in executed:
-                        self._cache_store(point, executed[point.key])
-                        computed[point.key] = executed[point.key]
+            elif resolution.outcome == "deduped":
+                result.deduped_keys.append(point.key)
+            if self.cache_metrics is not None:
+                self.cache_metrics.counter(
+                    f"cache.points_{resolution.outcome}"
+                ).inc()
 
         self.failure_log.extend(result.failures)
-        self._persist_failures(result.failures)
-        dead = [point.key for point in ordered if point.key not in computed]
         if dead and not allow_failures:
             raise GridExecutionError(
                 f"{len(dead)} grid point(s) failed after "
                 f"{self.retries + 1} attempt(s): {', '.join(dead)}"
             )
-        for key in sorted(computed):
-            entry = computed[key]
-            if self.observability:
-                result.results[key] = entry["comparison"]
-                result.metrics[key] = entry["metrics"]
-                result.traces[key] = entry["trace"]
-            else:
-                result.results[key] = entry
         return result
 
-    def run_comparisons(self, points: Sequence[GridPoint]) -> Dict[str, Any]:
-        """Run and reconstruct: point key -> comparison object."""
-        return self.run(points).comparisons()
+    def _resolve_all(
+        self, points: Sequence[GridPoint]
+    ) -> Dict[str, Resolution]:
+        """Resolve every point, ``jobs`` at a time, in the given
+        (longest-processing-time-first) order.
 
-    # ------------------------------------------------------------------
-    # Execution strategies
-    # ------------------------------------------------------------------
-
-    def _run_serial(
-        self,
-        points: Sequence[GridPoint],
-        failures: List[FailureRecord],
-        on_result: Optional[Callable[[GridPoint, Dict[str, Any]], None]] = None,
-    ) -> Dict[str, Dict[str, Any]]:
-        executed: Dict[str, Dict[str, Any]] = {}
-        for point in points:
-            for attempt in range(1, self.retries + 2):
-                try:
-                    value = _execute_point(self._payload(point))
-                except Exception as error:  # noqa: BLE001 - logged + re-raised
-                    failures.append(
-                        FailureRecord(
-                            key=point.key,
-                            attempt=attempt,
-                            error=f"{type(error).__name__}: {error}",
-                            traceback=traceback.format_exc(),
-                        )
-                    )
-                else:
-                    executed[point.key] = value
-                    if on_result is not None:
-                        on_result(point, value)
-                    break
-        return executed
-
-    def _run_pool(
-        self,
-        points: Sequence[GridPoint],
-        failures: List[FailureRecord],
-        on_result: Optional[Callable[[GridPoint, Dict[str, Any]], None]] = None,
-    ) -> Dict[str, Dict[str, Any]]:
-        executed: Dict[str, Dict[str, Any]] = {}
+        With one worker, points resolve and execute inline; otherwise
+        ``jobs`` threads run the engine and execute on a warm process
+        pool, so only the first point of a run, not every worker's
+        first point, pays Python start-up costs.
+        """
         workers = min(self.jobs, len(points))
+        if workers <= 1:
+            execute = point_executor()
+            return {point.key: self._resolve(point, execute) for point in points}
         self._preresolve_backends(points)
-        # Workers start warm (drivers imported, signature catalogue and
-        # scheme registry built) so only the first point of a run, not
-        # every worker's first point, pays Python start-up costs.
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_warm_worker
         ) as pool:
-            attempts = {point.key: 1 for point in points}
-            by_key = {point.key: point for point in points}
-            futures = {
-                pool.submit(_execute_point, self._payload(point)): point.key
-                for point in points
-            }
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    key = futures.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        executed[key] = future.result()
-                        if on_result is not None:
-                            on_result(by_key[key], executed[key])
-                        continue
-                    attempt = attempts[key]
-                    failures.append(
-                        FailureRecord(
-                            key=key,
-                            attempt=attempt,
-                            error=f"{type(error).__name__}: {error}",
-                            traceback="".join(
-                                traceback.format_exception(
-                                    type(error), error, error.__traceback__
-                                )
-                            ),
-                        )
-                    )
-                    if attempt <= self.retries:
-                        attempts[key] = attempt + 1
-                        retry = pool.submit(
-                            _execute_point, self._payload(by_key[key])
-                        )
-                        futures[retry] = key
-        return executed
+            # The first submit forks every worker; do it while this is
+            # the only thread, since a fork taken while other threads run
+            # can deadlock the child on a lock one of them held.
+            pool.submit(int).result()
+            execute = point_executor(pool)
+            with ThreadPoolExecutor(max_workers=workers) as threads:
+                resolved = threads.map(
+                    lambda point: self._resolve(point, execute), points
+                )
+                return dict(zip((point.key for point in points), resolved))
 
-    def _run_shared(
-        self, points: Sequence[GridPoint], result: GridResult
-    ) -> Dict[str, Dict[str, Any]]:
-        """Execute pending points against a cache shared with concurrent
-        runners: claim what nobody holds, await what somebody does.
-
-        Claimed points execute through the normal serial/pool strategy;
-        each result is published (stored, claim released) the moment it
-        exists, so waiters on the other side unblock per point, not per
-        batch.  Claims of points that *failed* permanently are released
-        too — a waiter then claims the key and retries with its own
-        budget instead of deadlocking on a result that never comes.
-        """
-        cache = self.cache
-        assert cache is not None
-        cache_keys = {
-            point.key: cache.key_for(self._payload(point))
-            for point in points
-        }
-        executed: Dict[str, Dict[str, Any]] = {}
-        mine: List[GridPoint] = []
-        theirs: List[GridPoint] = []
-        for point in points:
-            # A concurrent runner may have published this point between
-            # the initial cache lookup and now — a hit here is a dedupe.
-            late = cache.get(cache_keys[point.key])
-            if late is not None:
-                executed[point.key] = late
-                result.deduped_keys.append(point.key)
-                self._count_cache("cache.points_deduped")
-            elif cache.try_claim(cache_keys[point.key]):
-                mine.append(point)
-            else:
-                theirs.append(point)
-
-        held = {cache_keys[point.key] for point in mine}
-
-        def publish(point: GridPoint, value: Dict[str, Any]) -> None:
-            self._cache_store(point, value)
-            cache.release_claim(cache_keys[point.key])
-            held.discard(cache_keys[point.key])
-            executed[point.key] = value
-            self._count_cache("cache.points_computed")
-
-        try:
-            if self.jobs > 1 and len(mine) > 1:
-                self._run_pool(mine, result.failures, on_result=publish)
-            elif mine:
-                self._run_serial(mine, result.failures, on_result=publish)
-        finally:
-            for key in held:  # exhausted retries: let waiters take over
-                cache.release_claim(key)
-            held.clear()
-        executed.update(self._await_claimed(theirs, cache_keys, result))
-        return executed
-
-    def _await_claimed(
+    def _resolve(
         self,
-        points: Sequence[GridPoint],
-        cache_keys: Dict[str, str],
-        result: GridResult,
-    ) -> Dict[str, Dict[str, Any]]:
-        """Wait for points a concurrent runner claimed.
-
-        Each point resolves one of three ways: the other runner publishes
-        the entry (a dedupe), its claim disappears without an entry (it
-        failed or died — claim the key and compute here, with this
-        runner's own retry budget), or its claim outlives
-        ``claim_ttl`` and is broken as stale.
-        """
-        cache = self.cache
-        assert cache is not None
-        executed: Dict[str, Dict[str, Any]] = {}
-        waiting = list(points)
-        while waiting:
-            progressed = False
-            still_waiting: List[GridPoint] = []
-            for point in waiting:
-                key = cache_keys[point.key]
-                cached = cache.get(key)
-                if cached is not None:
-                    executed[point.key] = cached
-                    result.deduped_keys.append(point.key)
-                    self._count_cache("cache.points_deduped")
-                    progressed = True
-                    continue
-                if cache.claimed(key):
-                    cache.break_stale_claim(key, self.claim_ttl)
-                if not cache.claimed(key) and cache.try_claim(key):
-                    try:
-                        serial = self._run_serial([point], result.failures)
-                        if point.key in serial:
-                            self._cache_store(point, serial[point.key])
-                            executed[point.key] = serial[point.key]
-                            self._count_cache("cache.points_computed")
-                    finally:
-                        cache.release_claim(key)
-                    progressed = True
-                    continue
-                still_waiting.append(point)
-            waiting = still_waiting
-            if waiting and not progressed:
-                time.sleep(self.poll_interval)
-        return executed
+        point: GridPoint,
+        execute: Callable[[Dict[str, Any]], Dict[str, Any]],
+    ) -> Resolution:
+        return resolve_point(
+            point.key,
+            self._payload(point),
+            execute,
+            cache=self.cache,
+            retries=self.retries,
+            poll_interval=self.poll_interval,
+            claim_ttl=self.claim_ttl,
+        )
 
     @staticmethod
     def _preresolve_backends(points: Sequence[GridPoint]) -> None:
@@ -784,49 +528,3 @@ class GridRunner:
         }
         for backend in sorted(names):
             resolve_backend(backend)
-
-    # ------------------------------------------------------------------
-    # Cache plumbing
-    # ------------------------------------------------------------------
-
-    def _cache_lookup(self, point: GridPoint) -> Optional[Dict[str, Any]]:
-        if self.cache is None:
-            return None
-        return self.cache.get(self.cache.key_for(self._payload(point)))
-
-    def _cache_store(self, point: GridPoint, result: Dict[str, Any]) -> None:
-        if self.cache is None:
-            return
-        payload = self._payload(point)
-        self.cache.put(self.cache.key_for(payload), payload, result)
-
-    def _persist_failures(self, failures: List[FailureRecord]) -> None:
-        """Append this run's failures to the cache's ``failures.jsonl``.
-
-        Append-only JSONL replaces the old read-modify-write of a single
-        ``failures.json`` array: two unlocked runners sharing a cache
-        directory could each read the same baseline and the second write
-        would silently drop the first's records (or interleave into
-        invalid JSON).  One buffered ``write`` of complete lines appends
-        atomically at line granularity on POSIX, and the tolerant reader
-        (:func:`load_failure_records`) skips a torn tail instead of
-        losing the whole log.
-        """
-        if self.cache is None or not failures:
-            return
-        lines = "".join(
-            json.dumps(
-                {
-                    "key": record.key,
-                    "attempt": record.attempt,
-                    "error": record.error,
-                    "traceback": record.traceback,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-            for record in failures
-        )
-        path = self.cache.directory / "failures.jsonl"
-        with open(path, "a", encoding="utf-8") as stream:
-            stream.write(lines)

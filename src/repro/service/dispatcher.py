@@ -9,15 +9,16 @@ point never executes alone after the cheap points drain — across jobs,
 not just within one.
 
 Worker threads drain the queue.  Each point resolves through the shared
-content-addressed :class:`~repro.runner.ResultCache`:
-
-1. **hit** — the result already exists (this or any earlier job, or a
-   direct ``GridRunner`` run against the same directory): served as-is;
-2. **claim** — the worker wins the key's claim, executes the point
-   (inline or on a shared process pool), publishes atomically, releases;
-3. **wait** — another worker (any job, any process) holds the claim:
-   poll until the entry appears, the claim is released without one (the
-   claimer failed — take over and compute), or the claim goes stale.
+content-addressed :class:`~repro.runner.ResultCache` by the same
+engine a direct :class:`~repro.runner.GridRunner` uses
+(:func:`~repro.runner.resolve_point`): a **hit** is served as-is; a
+won **claim** executes the point (inline or on a shared warm process
+pool), publishes atomically and releases; otherwise the worker
+**waits** for whoever holds the claim — another worker, job, service
+process, or direct runner.  The dispatcher itself keeps only the
+queue, the job store, and the lifecycle; its abort predicate turns
+service stop, job cancellation and the job's timeout into engine
+aborts.
 
 Because simulations are deterministic and cache keys hash the full point
 payload plus the code fingerprint, two clients submitting the same grid
@@ -34,7 +35,6 @@ with the appropriate terminal status.
 from __future__ import annotations
 
 import itertools
-import json
 import queue
 import threading
 import time
@@ -47,12 +47,14 @@ from repro.errors import ServiceError
 from repro.obs.metrics import MetricsRegistry
 from repro.runner import (
     DEFAULT_CLAIM_TTL,
+    FailureRecord,
     GridPoint,
     ResultCache,
     canonical_json,
     default_jobs,
     execution_cost,
     load_failure_records,
+    resolve_point,
 )
 from repro.runner import grid as grid_module
 from repro.service.spec import JobSpec, parse_job_spec
@@ -185,6 +187,9 @@ class Dispatcher:
                 max_workers=self.workers,
                 initializer=grid_module._warm_worker,
             )
+            # Fork the workers before any worker thread exists (see
+            # GridRunner: a fork taken while threads run is unsafe).
+            self._pool.submit(int).result()
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -301,28 +306,61 @@ class Dispatcher:
         if run is None:
             return  # job vanished (stop/cancel raced recovery)
         self._mark_started(run)
-        if self._stop.is_set():
+        self.metrics.histogram("service.dispatch_latency_ms").observe(
+            int((time.monotonic() - task.enqueued_at) * 1000)
+        )
+        resolution = resolve_point(
+            task.point.key,
+            task.payload,
+            grid_module.point_executor(self._pool),
+            cache=self.cache,
+            cache_key=task.cache_key,
+            retries=run.spec.retries,
+            abort=lambda: self._abort_reason(run),
+            on_failure=lambda record: self._attempt_failed(run, record),
+            poll_interval=self.poll_interval,
+            claim_ttl=self.claim_ttl,
+        )
+        if resolution.aborted == "stopped":
             # Graceful teardown: leave the point pending; the job is
             # non-terminal in the store, so the next start re-enqueues
             # it and the shared cache makes the repeat cheap.
             self.store.update_point(run.job_id, task.point.key, "pending")
             return
+        if resolution.status == "done":
+            self.metrics.counter(
+                f"service.points_{resolution.outcome}"
+            ).inc()
+        self._finish_point(
+            run, task,
+            "cancelled" if resolution.aborted else resolution.status,
+            outcome=resolution.outcome,
+            error=(
+                "wall-clock timeout" if resolution.aborted == "timeout"
+                else resolution.error
+            ),
+            attempts=resolution.attempts or None,
+        )
+
+    def _abort_reason(self, run: _JobRun) -> str:
+        """Why a job's point must stop resolving, or ``""``: the
+        service is stopping, the job was cancelled, or it timed out."""
+        if self._stop.is_set():
+            return "stopped"
         if run.cancel.is_set():
-            self._finish_point(run, task, "cancelled", None)
-            return
+            return "cancelled"
         if run.expired():
             run.timed_out = True
-            self._finish_point(run, task, "cancelled", None)
-            return
-        self.metrics.histogram("service.dispatch_latency_ms").observe(
-            int((time.monotonic() - task.enqueued_at) * 1000)
+            return "timeout"
+        return ""
+
+    def _attempt_failed(self, run: _JobRun, record: FailureRecord) -> None:
+        self.store.append_event(
+            run.job_id, "point.attempt_failed",
+            key=record.key, attempt=record.attempt, error=record.error,
         )
-        status, outcome, value, error = self._resolve(run, task)
-        if status == "stopped":
-            self.store.update_point(run.job_id, task.point.key, "pending")
-            return
-        self._finish_point(run, task, status, value,
-                           outcome=outcome, error=error)
+        if record.attempt <= run.spec.retries:
+            self.metrics.counter("service.point_retries").inc()
 
     def _mark_started(self, run: _JobRun) -> None:
         with run.lock:
@@ -335,112 +373,6 @@ class Dispatcher:
             self.store.append_event(run.job_id, "job.started")
 
     # ------------------------------------------------------------------
-    # Point resolution (hit / claim / wait)
-    # ------------------------------------------------------------------
-
-    def _resolve(
-        self, run: _JobRun, task: _Task
-    ) -> Tuple[str, str, Optional[Dict[str, Any]], str]:
-        """Resolve one point: ``(status, outcome, value, error)``."""
-        cache = self.cache
-        key = task.cache_key
-        waited = False
-        while True:
-            if self._stop.is_set():
-                return "stopped", "", None, ""
-            if run.cancel.is_set():
-                return "cancelled", "", None, ""
-            if run.expired():
-                run.timed_out = True
-                return "cancelled", "", None, "wall-clock timeout"
-            value = cache.get(key)
-            if value is not None:
-                outcome = "deduped" if waited else "cached"
-                self.metrics.counter(f"service.points_{outcome}").inc()
-                return "done", outcome, value, ""
-            if cache.try_claim(key):
-                return self._compute(run, task)
-            # Another worker (any job, any process) is computing this
-            # exact point: wait for its entry instead of recomputing.
-            waited = True
-            cache.break_stale_claim(key, self.claim_ttl)
-            if not cache.claimed(key):
-                continue  # claim vanished: re-check the cache, re-claim
-            time.sleep(self.poll_interval)
-
-    def _compute(
-        self, run: _JobRun, task: _Task
-    ) -> Tuple[str, str, Optional[Dict[str, Any]], str]:
-        """Execute a claimed point with the job's retry budget."""
-        key = task.cache_key
-        last_error = ""
-        try:
-            for attempt in range(1, run.spec.retries + 2):
-                if self._stop.is_set():
-                    return "stopped", "", None, last_error
-                if run.cancel.is_set():
-                    return "cancelled", "", None, last_error
-                if run.expired():
-                    run.timed_out = True
-                    return "cancelled", "", None, "wall-clock timeout"
-                try:
-                    value = self._execute_payload(task.payload)
-                except Exception as error:  # noqa: BLE001 - retried
-                    last_error = f"{type(error).__name__}: {error}"
-                    self._record_failure(run, task, attempt, error)
-                    if attempt <= run.spec.retries:
-                        self.metrics.counter("service.point_retries").inc()
-                else:
-                    self.cache.put(key, task.payload, value)
-                    self.store.update_point(
-                        run.job_id, task.point.key, "running",
-                        attempts=attempt,
-                    )
-                    self.metrics.counter("service.points_computed").inc()
-                    return "done", "computed", value, ""
-            self.store.update_point(
-                run.job_id, task.point.key, "running",
-                attempts=run.spec.retries + 1,
-            )
-            return "failed", "", None, last_error
-        finally:
-            self.cache.release_claim(key)
-
-    def _execute_payload(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        if self._pool is not None:
-            return self._pool.submit(
-                grid_module._execute_point, payload
-            ).result()
-        return grid_module._execute_point(payload)
-
-    def _record_failure(
-        self, run: _JobRun, task: _Task, attempt: int, error: BaseException
-    ) -> None:
-        self.store.append_event(
-            run.job_id, "point.attempt_failed",
-            key=task.point.key, attempt=attempt,
-            error=f"{type(error).__name__}: {error}",
-        )
-        # Share the failure history with direct GridRunner users of the
-        # same cache directory: same append-only JSONL, same row shape.
-        line = json.dumps(
-            {
-                "key": task.point.key,
-                "attempt": attempt,
-                "error": f"{type(error).__name__}: {error}",
-                "traceback": "".join(
-                    traceback.format_exception(
-                        type(error), error, error.__traceback__
-                    )
-                ),
-            },
-            sort_keys=True,
-        )
-        path = self.cache.directory / "failures.jsonl"
-        with open(path, "a", encoding="utf-8") as stream:
-            stream.write(line + "\n")
-
-    # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
 
@@ -449,9 +381,9 @@ class Dispatcher:
         run: _JobRun,
         task: _Task,
         status: str,
-        value: Optional[Dict[str, Any]],
         outcome: str = "",
         error: str = "",
+        attempts: Optional[int] = None,
     ) -> None:
         if status == "failed":
             self.metrics.counter("service.points_failed").inc()
@@ -460,7 +392,8 @@ class Dispatcher:
         elif status == "cancelled":
             self.metrics.counter("service.points_cancelled").inc()
         self.store.update_point(
-            run.job_id, task.point.key, status, outcome=outcome, error=error
+            run.job_id, task.point.key, status, outcome=outcome,
+            attempts=attempts, error=error,
         )
         event = {
             "done": "point.done",

@@ -16,7 +16,7 @@ import json
 import threading
 
 from repro.runner import ResultCache
-from repro.runner.grid import FailureRecord, GridRunner, load_failure_records
+from repro.runner import GridRunner, load_failure_records
 
 
 def entry_for(cache, key, value):
@@ -151,23 +151,6 @@ class TestFailureLog:
         assert len(records) == 1
         assert records[0].error == "RuntimeError: boom"
 
-    def test_reader_merges_the_legacy_json_file(self, tmp_path, monkeypatch):
-        legacy = [
-            {"key": "old:point", "attempt": 1, "error": "OldError: x",
-             "traceback": "tb"},
-            "not-a-record",
-        ]
-        (tmp_path / "failures.json").write_text(json.dumps(legacy))
-        self.run_failing_point(tmp_path, monkeypatch)
-        records = load_failure_records(tmp_path)
-        assert [record.key for record in records][0] == "old:point"
-        assert len(records) == 2
-        assert all(isinstance(r, FailureRecord) for r in records)
-
-    def test_reader_tolerates_corrupt_legacy_json(self, tmp_path):
-        (tmp_path / "failures.json").write_text("{torn")
-        assert load_failure_records(tmp_path) == []
-
     def test_reader_on_an_empty_directory(self, tmp_path):
         assert load_failure_records(tmp_path) == []
 
@@ -204,24 +187,6 @@ class TestFailureLogWarnings:
         seen = []
         assert load_failure_records(tmp_path, warn=seen.append) == []
         assert seen == []
-
-    def test_legacy_non_record_entry_warns(self, tmp_path):
-        (tmp_path / "failures.json").write_text(
-            '[{"key": "k", "attempt": 1, "error": "E", "traceback": ""},'
-            ' "not-a-record"]'
-        )
-        seen = []
-        records = load_failure_records(tmp_path, warn=seen.append)
-        assert len(records) == 1
-        assert len(seen) == 1
-        assert "entry 2 is not a failure record" in seen[0]
-
-    def test_corrupt_legacy_file_warns(self, tmp_path):
-        (tmp_path / "failures.json").write_text("{torn")
-        seen = []
-        assert load_failure_records(tmp_path, warn=seen.append) == []
-        assert len(seen) == 1
-        assert "malformed legacy failure log" in seen[0]
 
     def test_default_warn_goes_through_the_warnings_module(
         self, tmp_path, recwarn

@@ -15,6 +15,7 @@ from repro.runner import (
     comparison_from_dict,
     comparison_to_dict,
     execution_cost,
+    load_failure_records,
     submission_order,
     tls_point,
     tm_point,
@@ -214,7 +215,7 @@ class TestRetryAndFailureLog:
         lines = (tmp_path / "failures.jsonl").read_text().splitlines()
         persisted = [json.loads(line) for line in lines]
         assert persisted[0]["key"] == tm_point("mc", txns_per_thread=2).key
-        records = grid_module.load_failure_records(tmp_path)
+        records = load_failure_records(tmp_path)
         assert [record.key for record in records] == [
             tm_point("mc", txns_per_thread=2).key
         ]

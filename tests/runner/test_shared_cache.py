@@ -1,19 +1,24 @@
-"""Two GridRunners sharing one ResultCache directory concurrently.
+"""GridRunners (and the job service) sharing one ResultCache directory.
 
-The contract (the job service's worker tier relies on it too): N
-runners sweeping the same grid against one ``cache_dir`` in shared mode
-compute every point **exactly once** between them — in-flight points are
-claimed, concurrent runners await the claim instead of recomputing —
-and every runner's merged output is byte-identical to a solo run.
+The contract: N runners sweeping the same grid against one
+``cache_dir`` compute every point **exactly once** between them —
+in-flight points are claimed, concurrent runners await the claim
+instead of recomputing — and every runner's merged output is
+byte-identical to a solo run.  A claim whose owner died on this host
+never blocks anyone.
 """
 
+import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 
-import pytest
-
 import repro.runner.grid as grid_module
 from repro.runner import GridRunner, ResultCache, tls_point, tm_point
+from repro.service import JobService, points_to_spec
 
 POINTS = [
     tm_point("mc", txns_per_thread=2),
@@ -47,10 +52,6 @@ def counter_value(runner, name):
 
 
 class TestSharedMode:
-    def test_shared_requires_a_cache_dir(self):
-        with pytest.raises(ValueError, match="requires a cache_dir"):
-            GridRunner(jobs=1, shared=True)
-
     def test_two_concurrent_runners_compute_each_point_exactly_once(
         self, tmp_path, monkeypatch
     ):
@@ -62,8 +63,7 @@ class TestSharedMode:
 
         def sweep(name):
             runner = GridRunner(
-                jobs=1, cache_dir=tmp_path, shared=True,
-                poll_interval=0.005,
+                jobs=1, cache_dir=tmp_path, poll_interval=0.005,
             )
             barrier.wait()
             try:
@@ -114,13 +114,14 @@ class TestSharedMode:
     def test_solo_shared_run_matches_unshared_byte_for_byte(
         self, tmp_path, monkeypatch
     ):
+        """A claiming run (cache directory) and a claim-free run (no
+        cache) merge to the same bytes."""
         counting = CountingExecute(delay=0)
         monkeypatch.setattr(grid_module, "_execute_point", counting)
-        shared = GridRunner(
-            jobs=1, cache_dir=tmp_path / "a", shared=True
-        ).run(POINTS)
-        plain = GridRunner(jobs=1, cache_dir=tmp_path / "b").run(POINTS)
+        shared = GridRunner(jobs=1, cache_dir=tmp_path).run(POINTS)
+        plain = GridRunner(jobs=1).run(POINTS)
         assert shared.to_json() == plain.to_json()
+        assert list(tmp_path.glob("*.claim")) == []
 
     def test_stale_claim_is_broken_and_the_point_computed(
         self, tmp_path, monkeypatch
@@ -130,8 +131,8 @@ class TestSharedMode:
         point = POINTS[0]
         cache = ResultCache(tmp_path)
         runner = GridRunner(
-            jobs=1, cache_dir=tmp_path, shared=True,
-            poll_interval=0.005, claim_ttl=0.01,
+            jobs=1, cache_dir=tmp_path, poll_interval=0.005,
+            claim_ttl=0.01,
         )
         key = cache.key_for(point.payload())
         assert cache.try_claim(key)  # a dead runner's leftover
@@ -167,7 +168,7 @@ class TestSharedMode:
 
         def failing_sweep():
             runner = GridRunner(
-                jobs=1, retries=0, cache_dir=tmp_path, shared=True,
+                jobs=1, retries=0, cache_dir=tmp_path,
                 poll_interval=0.005,
             )
             outcome["failing"] = runner.run([point], allow_failures=True)
@@ -175,7 +176,7 @@ class TestSharedMode:
         def waiting_sweep():
             first_started.wait(timeout=10)
             runner = GridRunner(
-                jobs=1, retries=0, cache_dir=tmp_path, shared=True,
+                jobs=1, retries=0, cache_dir=tmp_path,
                 poll_interval=0.005,
             )
             outcome["waiting"] = runner.run([point])
@@ -193,3 +194,198 @@ class TestSharedMode:
         assert outcome["failing"].results == {}
         assert point.key in outcome["waiting"].results
         assert calls == [point.app, point.app]
+
+    def test_a_claim_that_cannot_be_written_falls_back_to_computing(
+        self, tmp_path, monkeypatch
+    ):
+        """A directory that refuses claim files must cost the claim, not
+        hang the run waiting for a claimer that does not exist."""
+        counting = CountingExecute(delay=0)
+        monkeypatch.setattr(grid_module, "_execute_point", counting)
+        runner = GridRunner(jobs=1, cache_dir=tmp_path, poll_interval=0.005)
+        real_open = os.open
+
+        def refuse_claims(path, *args, **kwargs):
+            if str(path).endswith(".claim"):
+                raise PermissionError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refuse_claims)
+        thread, outcome = run_in_thread(lambda: runner.run(POINTS[:1]))
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "an unclaimable key hung the run"
+        assert set(outcome["result"].results) == {POINTS[0].key}
+        assert counting.calls == [POINTS[0].app]
+
+
+def dead_pid():
+    """The pid of a process that has exited and been reaped."""
+    process = subprocess.Popen([sys.executable, "-c", "pass"])
+    process.wait()
+    return process.pid
+
+
+def plant_claim(cache, key, host, pid):
+    """A claim file as another owner would have left it."""
+    owner = {"host": host, "pid": pid}
+    (cache.directory / f"{key}.claim").write_text(json.dumps(owner) + "\n")
+
+
+def run_in_thread(target):
+    outcome = {}
+    thread = threading.Thread(
+        target=lambda: outcome.setdefault("result", target()), daemon=True
+    )
+    thread.start()
+    return thread, outcome
+
+
+class TestDeadClaimOwners:
+    """A claim records its owner's host and pid: a same-host owner that
+    no longer exists is broken at once, not after the one-hour TTL."""
+
+    def test_claim_records_host_and_pid(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.try_claim("k" * 64)
+        owner = json.loads((tmp_path / ("k" * 64 + ".claim")).read_text())
+        assert owner == {"host": socket.gethostname(), "pid": os.getpid()}
+
+    def test_dead_same_host_claim_is_broken_without_waiting(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        plant_claim(cache, "a" * 64, socket.gethostname(), dead_pid())
+        assert cache.break_stale_claim("a" * 64, ttl=3600)
+        assert not cache.claimed("a" * 64)
+
+    def test_live_same_host_claim_keeps_the_ttl_rule(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        plant_claim(cache, "b" * 64, socket.gethostname(), os.getpid())
+        assert not cache.break_stale_claim("b" * 64, ttl=3600)
+        assert cache.break_stale_claim("b" * 64, ttl=-1)
+
+    def test_foreign_host_and_legacy_claims_keep_the_ttl_rule(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path)
+        plant_claim(cache, "c" * 64, "another-host.invalid", dead_pid())
+        (tmp_path / ("d" * 64 + ".claim")).write_text(f"{dead_pid()}\n")
+        for key in ("c" * 64, "d" * 64):
+            assert not cache.break_stale_claim(key, ttl=3600)
+            assert cache.break_stale_claim(key, ttl=-1)
+
+    def test_opening_a_cache_sweeps_dead_claims_only(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        plant_claim(cache, "e" * 64, socket.gethostname(), dead_pid())
+        plant_claim(cache, "f" * 64, socket.gethostname(), os.getpid())
+        plant_claim(cache, "0" * 64, "another-host.invalid", dead_pid())
+        ResultCache(tmp_path)
+        assert sorted(path.stem for path in tmp_path.glob("*.claim")) == [
+            "0" * 64, "f" * 64,
+        ]
+
+    def test_grid_runner_breaks_a_dead_owners_claim_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        counting = CountingExecute(delay=0)
+        monkeypatch.setattr(grid_module, "_execute_point", counting)
+        point = POINTS[0]
+        runner = GridRunner(jobs=1, cache_dir=tmp_path, poll_interval=0.005)
+        key = runner.cache.key_for(point.payload())
+        plant_claim(runner.cache, key, socket.gethostname(), dead_pid())
+        thread, outcome = run_in_thread(lambda: runner.run([point]))
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "a dead owner's claim blocked the run"
+        assert point.key in outcome["result"].results
+        assert counting.calls == [point.app]
+        assert counter_value(runner, "cache.claims_broken") == 1
+        assert list(tmp_path.glob("*.claim")) == []
+
+    def test_grid_runner_waits_on_a_live_owners_claim(
+        self, tmp_path, monkeypatch
+    ):
+        counting = CountingExecute(delay=0)
+        monkeypatch.setattr(grid_module, "_execute_point", counting)
+        point = POINTS[0]
+        runner = GridRunner(jobs=1, cache_dir=tmp_path, poll_interval=0.005)
+        cache = runner.cache
+        key = cache.key_for(point.payload())
+        assert cache.try_claim(key)  # a live claimer: this process
+        thread, outcome = run_in_thread(lambda: runner.run([point]))
+        thread.join(timeout=0.3)
+        assert thread.is_alive(), "a live owner's claim was not awaited"
+        cache.put(key, point.payload(), {"published": "by the owner"})
+        cache.release_claim(key)
+        thread.join(timeout=5)
+        assert outcome["result"].deduped_keys == [point.key]
+        assert outcome["result"].results[point.key] == {
+            "published": "by the owner"
+        }
+        assert counting.calls == []
+
+    def test_restarted_service_breaks_a_dead_owners_claim_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        counting = CountingExecute(delay=0)
+        monkeypatch.setattr(grid_module, "_execute_point", counting)
+        point = POINTS[0]
+        first = JobService(tmp_path / "svc", executor="thread", workers=1)
+        job_id = first.submit(points_to_spec([point]))["job_id"]
+        first.stop()  # never started: the job is left queued
+        second = JobService(
+            tmp_path / "svc", executor="thread", workers=1,
+            poll_interval=0.005,
+        )
+        key = second.cache.key_for(point.payload())
+        plant_claim(second.cache, key, socket.gethostname(), dead_pid())
+        second.start()
+        try:
+            assert second.wait(job_id, timeout=5) == "done"
+        finally:
+            second.stop()
+        assert counting.calls == [point.app]
+        assert list(second.cache.directory.glob("*.claim")) == []
+
+
+class TestRunnerAndService:
+    def test_runner_and_service_compute_each_point_exactly_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A direct GridRunner and a JobService resolving the same grid
+        on one cache directory share the work: each point executes once,
+        and both merge to the same bytes."""
+        counting = CountingExecute()
+        monkeypatch.setattr(grid_module, "_execute_point", counting)
+        service = JobService(
+            tmp_path / "svc", cache_dir=tmp_path / "cache",
+            executor="thread", workers=2, poll_interval=0.005,
+        )
+        service.start()
+        barrier = threading.Barrier(2)
+        outcome = {}
+
+        def direct():
+            runner = GridRunner(
+                jobs=1, cache_dir=tmp_path / "cache", poll_interval=0.005
+            )
+            barrier.wait()
+            outcome["runner"] = runner.run(POINTS)
+
+        def served():
+            barrier.wait()
+            job_id = service.submit(points_to_spec(POINTS))["job_id"]
+            outcome["status"] = service.wait(job_id, timeout=30)
+            outcome["body"] = service.result_bytes(job_id)
+
+        threads = [threading.Thread(target=fn) for fn in (direct, served)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            service.stop()
+        assert outcome["status"] == "done"
+        assert sorted(counting.calls) == sorted(
+            point.app for point in POINTS
+        )
+        assert outcome["runner"].to_json().encode("utf-8") == outcome["body"]
+        assert list((tmp_path / "cache").glob("*.claim")) == []

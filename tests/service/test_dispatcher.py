@@ -342,3 +342,24 @@ class TestValidationAndByteIdentity:
             service.stop()
         direct = GridRunner(jobs=1, cache_dir=tmp_path / "direct")
         assert body == direct.run(points).to_json().encode("utf-8")
+
+    def test_process_executor_matches_a_direct_grid_runner(self, tmp_path):
+        """Points executed on the service's warm process pool merge to
+        the same bytes as a direct multi-worker GridRunner run."""
+        points = [
+            tm_point("mc", txns_per_thread=2),
+            tls_point("gzip", num_tasks=8),
+        ]
+        service = JobService(
+            tmp_path / "svc", executor="process", workers=2,
+            poll_interval=0.01,
+        )
+        service.start()
+        try:
+            view = service.submit(points_to_spec(points))
+            assert service.wait(view["job_id"], timeout=120) == "done"
+            body = service.result_bytes(view["job_id"])
+        finally:
+            service.stop()
+        direct = GridRunner(jobs=2, cache_dir=tmp_path / "direct")
+        assert body == direct.run(points).to_json().encode("utf-8")
