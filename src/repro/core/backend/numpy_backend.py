@@ -559,10 +559,6 @@ class NumpySignatureArena(SignatureArena):
             self._next += 1
         return signature
 
-    def rows_used(self) -> int:
-        """How many matrix rows have been handed out (introspection)."""
-        return self._next
-
 
 class NumpySignatureBank(SignatureBank):
     """An epoch's signatures as one matrix; Equation 1 as a broadcast.

@@ -24,21 +24,15 @@ configuration (one bounded LRU per config, label ``line_mask``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.cache.cache import Cache
 from repro.cache.line import CacheLine
 from repro.core.backend.codec import EXPANSION_VECTOR_MIN_LINES, note_codec
 from repro.core.decode import DeltaDecoder
-from repro.core.memo import DEFAULT_LINE_MASK_CAPACITY, LruCache
 from repro.core.signature import Signature
 from repro.core.signature_config import SignatureConfig
 from repro.mem.address import Granularity, words_of_line
-
-#: config -> LruCache of line address -> (OR of word masks, word masks).
-#: Like the shared decode memos, keyed per configuration because the
-#: encodings are pure in ``(config, line_address)``.
-_LINE_MASK_CACHES: Dict[SignatureConfig, LruCache] = {}
 
 _LINE_MASK_MISS = object()
 
@@ -48,23 +42,33 @@ def _line_masks(config: SignatureConfig, line_address: int) -> tuple:
 
     The union mask is a cheap negative pre-filter: a signature that
     shares no bit with it cannot contain any word of the line (every
-    per-word mask is non-empty, one bit per V_i field).
+    per-word mask is non-empty, one bit per V_i field).  Memoised in the
+    configuration's ``line_mask`` LRU; a miss encodes the words through
+    the memo-free :meth:`SignatureConfig.flat_masks`, so expansion never
+    evicts the per-access encodes held by the ``flat_mask`` memo.
     """
-    cache = _LINE_MASK_CACHES.get(config)
-    if cache is None:
-        cache = _LINE_MASK_CACHES[config] = LruCache(
-            "line_mask", DEFAULT_LINE_MASK_CAPACITY
-        )
+    cache = config._line_mask_cache
     entry = cache.get(line_address, _LINE_MASK_MISS)
     if entry is _LINE_MASK_MISS:
-        flat_mask = config.flat_mask
-        masks = tuple(flat_mask(word) for word in words_of_line(line_address))
+        masks = tuple(config.flat_masks(words_of_line(line_address)))
         union = 0
         for mask in masks:
             union |= mask
         entry = (union, masks)
         cache.put(line_address, entry)
     return entry
+
+
+def _word_line_in_flat(config: SignatureConfig, flat: int, line_address: int) -> bool:
+    """Whether any word of the line is in the word-granularity
+    signature whose flat register is ``flat``."""
+    union, masks = _line_masks(config, line_address)
+    if not flat & union:
+        return False
+    for mask in masks:
+        if flat & mask == mask:
+            return True
+    return False
 
 
 def line_may_be_in(signature: Signature, line_address: int) -> bool:
@@ -77,16 +81,10 @@ def line_may_be_in(signature: Signature, line_address: int) -> bool:
     against the memoised line→mask encoding, behind a single-AND
     negative pre-filter on the union of the word masks.
     """
-    if signature.config.granularity is Granularity.LINE:
+    config = signature.config
+    if config.granularity is Granularity.LINE:
         return line_address in signature
-    union, masks = _line_masks(signature.config, line_address)
-    flat = signature.to_flat_int()
-    if not flat & union:
-        return False
-    for mask in masks:
-        if flat & mask == mask:
-            return True
-    return False
+    return _word_line_in_flat(config, signature.to_flat_int(), line_address)
 
 
 def matched_lines(
@@ -120,10 +118,17 @@ def matched_lines(
         )
     else:
         note_codec("fallback")
-        flags = [
-            line_may_be_in(signature, line.line_address)
-            for _, line in candidates
-        ]
+        # line_may_be_in per candidate, with the granularity, config and
+        # flat register read once for the whole batch.
+        config = signature.config
+        if config.granularity is Granularity.LINE:
+            flags = [line.line_address in signature for _, line in candidates]
+        else:
+            flat = signature.to_flat_int()
+            flags = [
+                _word_line_in_flat(config, flat, line.line_address)
+                for _, line in candidates
+            ]
     return [pair for pair, flag in zip(candidates, flags) if flag]
 
 

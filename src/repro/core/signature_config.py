@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.fields import ChunkLayout
 from repro.core.memo import (
     DEFAULT_FLAT_MASK_CAPACITY,
+    DEFAULT_LINE_MASK_CAPACITY,
     DEFAULT_RLE_CAPACITY,
     LruCache,
 )
@@ -152,6 +153,13 @@ class SignatureConfig:
         # value for a fixed layout.
         object.__setattr__(
             self, "_rle_cache", LruCache("rle", DEFAULT_RLE_CAPACITY)
+        )
+        # Word-granularity expansion memo (see repro.core.expansion):
+        # line address -> (OR of its word masks, the 16 word masks).
+        object.__setattr__(
+            self,
+            "_line_mask_cache",
+            LruCache("line_mask", DEFAULT_LINE_MASK_CAPACITY),
         )
 
     @classmethod

@@ -42,15 +42,16 @@ class TlsEagerScheme(TlsScheme):
         state: TaskState,
         byte_address: int,
     ) -> Optional[int]:
+        # Runs on every store: scan only the dispatched successors (see
+        # TlsSystem.active_tasks); the first hit is the least
+        # speculative one, the squash victim.
         word = byte_to_word(byte_address)
-        victim: Optional[int] = None
-        for other in system.active_tasks():
-            if other.task_id <= state.task_id:
-                continue
-            if word in other.read_words or word in other.write_words:
-                if victim is None or other.task_id < victim:
-                    victim = other.task_id
-        return victim
+        for other in system.tasks[state.task_id + 1 : system.next_dispatch]:
+            if (
+                word in other.read_words or word in other.write_words
+            ) and other.is_active():
+                return other.task_id
+        return None
 
     def record_store(
         self,

@@ -133,6 +133,8 @@ class TlsSystem(SpecSystemCore):
         self._dispatch_all(now=0)
         for proc in self.processors:
             self._schedule(proc)
+        tasks = self.tasks
+        num_tasks = len(tasks)
         while True:
             entry = scheduler.pop()
             if entry is None:
@@ -141,8 +143,16 @@ class TlsSystem(SpecSystemCore):
             proc = self.processors[pid]
             # Commits are processed in global clock order: any waiting
             # head task whose finish time is at or before this entry's
-            # clock commits *before* the entry's own work runs.
-            self._try_commits(up_to=clock)
+            # clock commits *before* the entry's own work runs.  The
+            # guard is _try_commits' own first test, hoisted: almost
+            # every pop finds no head task ready to commit.
+            if self.head < num_tasks:
+                head = tasks[self.head]
+                if (
+                    head.status is TaskStatus.WAITING
+                    and head.finish_clock <= clock
+                ):
+                    self._try_commits(up_to=clock)
             if epoch != proc.epoch:
                 scheduler.note_stale_pop()
                 continue
@@ -194,10 +204,16 @@ class TlsSystem(SpecSystemCore):
         return None
 
     def active_tasks(self) -> List[TaskState]:
-        """All dispatched, uncommitted tasks, oldest first."""
+        """All dispatched, uncommitted tasks, oldest first.
+
+        Only ``tasks[head:next_dispatch]`` can hold one: tasks commit in
+        order (everything below ``head`` is COMMITTED) and dispatch takes
+        tasks in order and is the only way out of PENDING (everything at
+        or past ``next_dispatch`` is PENDING).
+        """
         return [
             state
-            for state in self.tasks[self.head :]
+            for state in self.tasks[self.head : self.next_dispatch]
             if state.is_active()
         ]
 
@@ -397,11 +413,9 @@ class TlsSystem(SpecSystemCore):
         line_address = byte_address >> LINE_SHIFT
         victim = self.scheme.eager_check_store(self, proc, state, byte_address)
         if victim is not None:
-            aggressor_word = byte_address >> WORD_SHIFT
             self._note_direct_squash_stats(
                 dependence=1, false_positive=False
             )
-            del aggressor_word
             self.squash_from(victim, now=proc.clock, cause="eager-conflict")
         gate = self.scheme.prepare_store(self, proc, state, line_address)
         if gate is not None:
@@ -436,11 +450,9 @@ class TlsSystem(SpecSystemCore):
         # threads can read speculative data generated by other threads").
         for task_id in range(self.head, state.task_id + 1):
             other = self.tasks[task_id]
-            if not other.is_active():
+            if line_address not in other.written_lines or not other.is_active():
                 continue
             log = other.write_log
-            if not log:
-                continue
             for offset in range(16):
                 value = log.get(base + offset)
                 if value is not None:
@@ -469,21 +481,13 @@ class TlsSystem(SpecSystemCore):
         Speculative dirty copies stay dirty — their owners' logs back
         them — and serve forwarding.
         """
-        base = line_address << 4
         for other in self.processors:
             if other is proc:
                 continue
             remote = other.cache.lookup(line_address, touch=False)
             if remote is None or not remote.dirty:
                 continue
-            speculative = False
-            for task_id in other.resident:
-                state = self.tasks[task_id]
-                if not state.is_active():
-                    continue
-                if any(base + offset in state.write_log for offset in range(16)):
-                    speculative = True
-                    break
+            speculative = self._speculative_dirty(other, line_address)
             self.bus.record(
                 MessageKind.DOWNGRADE, now=proc.clock, port=proc.pid
             )
@@ -495,12 +499,9 @@ class TlsSystem(SpecSystemCore):
         """Whether a dirty copy on ``proc`` holds an active resident
         task's speculative data (log-backed) rather than committed
         state mirroring memory."""
-        base = line_address << 4
         for task_id in proc.resident:
             state = self.tasks[task_id]
-            if not state.is_active():
-                continue
-            if any(base + offset in state.write_log for offset in range(16)):
+            if line_address in state.written_lines and state.is_active():
                 return True
         return False
 
@@ -776,7 +777,7 @@ class TlsSystem(SpecSystemCore):
         dirty = False
         for task_id in proc.resident:
             state = self.tasks[task_id]
-            if not state.is_active():
+            if line_address not in state.written_lines or not state.is_active():
                 continue
             for offset in range(16):
                 value = state.write_log.get(base + offset)

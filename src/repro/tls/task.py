@@ -73,6 +73,7 @@ class TaskState:
         "attempts",
         "spawn_signalled",
         "write_log",
+        "written_lines",
         "read_words",
         "write_words",
         "shadow_write_words",
@@ -95,6 +96,10 @@ class TaskState:
         self.spawn_signalled = False
         #: word address -> value (authoritative speculative data).
         self.write_log: Dict[int, int] = {}
+        #: Line addresses of the write log's words: the line index that
+        #: lets forwarding, downgrade and merge paths skip a task whose
+        #: log holds nothing on a line without probing its 16 words.
+        self.written_lines: Set[int] = set()
         #: Exact read/write sets, word granularity.
         self.read_words: Set[int] = set()
         self.write_words: Set[int] = set()
@@ -132,7 +137,8 @@ class TaskState:
 
     def is_active(self) -> bool:
         """Dispatched and not yet committed."""
-        return self.status in (TaskStatus.RUNNING, TaskStatus.WAITING)
+        status = self.status
+        return status is TaskStatus.RUNNING or status is TaskStatus.WAITING
 
     def at_spawn_point(self) -> bool:
         """Whether the cursor sits exactly at the spawn position."""
@@ -148,6 +154,7 @@ class TaskState:
         word = byte_address >> WORD_SHIFT
         self.write_words.add(word)
         self.write_log[word] = value & 0xFFFFFFFF
+        self.written_lines.add(word >> WORD_TO_LINE_SHIFT)
         if self.shadow_write_words is not None:
             self.shadow_write_words.add(word)
 
@@ -157,8 +164,12 @@ class TaskState:
         self.prespawn_write_words = set(self.write_words)
 
     def write_lines(self) -> Set[int]:
-        """Line addresses touched by the write set."""
-        return {word >> WORD_TO_LINE_SHIFT for word in self.write_words}
+        """Line addresses touched by the write set.
+
+        The maintained :attr:`written_lines` index itself, not a copy:
+        callers must not mutate it.
+        """
+        return self.written_lines
 
     def read_lines(self) -> Set[int]:
         """Line addresses touched by the read set."""
@@ -177,6 +188,7 @@ class TaskState:
         self.cursor = 0
         self.attempts += 1
         self.write_log.clear()
+        self.written_lines.clear()
         self.read_words.clear()
         self.write_words.clear()
         self.shadow_write_words = None
