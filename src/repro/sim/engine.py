@@ -66,15 +66,20 @@ class MinClockScheduler:
             self._pop_counter.inc()
         return heapq.heappop(self._heap)
 
-    def account_bulk(self, pushes: int) -> None:
-        """Credit pushes performed directly on the underlying heap.
+    def account_bulk(self, pushes: int, stale_pops: int) -> None:
+        """Credit a drain of the underlying heap, once it is empty.
 
-        The systems' metrics-off fast path drains ``_heap`` with plain
-        ``heappush``/``heappop`` (identical ordering, no per-entry
-        bookkeeping) and reports its push count here so
-        :attr:`total_steps` stays correct.
+        The TM system drains ``_heap`` with plain ``heappush``/``heappop``
+        (identical ordering, no per-entry bookkeeping).  It reports the
+        pushes it made and the stale entries it skipped here, so
+        :attr:`total_steps` and the counters stay correct.  The heap is
+        empty, so every entry ever queued was popped exactly once.
         """
         self._enqueued += pushes
+        if self._push_counter is not None:
+            self._push_counter.inc(pushes)
+            self._pop_counter.inc(self._enqueued)
+            self._stale_counter.inc(stale_pops)
 
     def note_stale_pop(self) -> None:
         """Callers report entries they discarded as stale (squash-bumped

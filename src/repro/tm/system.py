@@ -142,42 +142,26 @@ class TmSystem(SpecSystemCore):
             else:
                 scheduler.push(proc.clock, proc.pid, proc.epoch)
         step = self._step
-        if self.metrics is None:
-            # Metrics-off fast path: drain the scheduler's heap directly.
-            # The pop/push ordering is bit-identical to the method path —
-            # only the per-entry counter bookkeeping is skipped, and the
-            # push total is credited in bulk afterwards.  Mid-step pushes
-            # (squash re-queues, waiter releases) go through
-            # scheduler.push into the same heap and are seen here.
-            heap = scheduler._heap
-            heappush_ = heapq.heappush
-            heappop_ = heapq.heappop
-            pushes = 0
-            while heap:
-                _, pid, epoch = heappop_(heap)
-                proc = processors[pid]
-                if proc.done or epoch != proc.epoch or proc.waiting_on is not None:
-                    continue
-                step(proc)
-                if proc.done or proc.waiting_on is not None:
-                    continue
-                heappush_(heap, (proc.clock, pid, proc.epoch))
-                pushes += 1
-            scheduler.account_bulk(pushes)
-        else:
-            while True:
-                entry = scheduler.pop()
-                if entry is None:
-                    break
-                _, pid, epoch = entry
-                proc = processors[pid]
-                if proc.done or epoch != proc.epoch or proc.waiting_on is not None:
-                    scheduler.note_stale_pop()
-                    continue
-                step(proc)
-                if proc.done or proc.waiting_on is not None:
-                    continue
-                scheduler.push(proc.clock, proc.pid, proc.epoch)
+        # Drain the scheduler's heap directly: plain heappush/heappop,
+        # with pushes and stale pops counted here and credited once.
+        # Mid-step pushes (squash re-queues, waiter releases) go through
+        # scheduler.push into the same heap and are seen here.
+        heap = scheduler._heap
+        heappush_ = heapq.heappush
+        heappop_ = heapq.heappop
+        pushes = stale_pops = 0
+        while heap:
+            _, pid, epoch = heappop_(heap)
+            proc = processors[pid]
+            if proc.done or epoch != proc.epoch or proc.waiting_on is not None:
+                stale_pops += 1
+                continue
+            step(proc)
+            if proc.done or proc.waiting_on is not None:
+                continue
+            heappush_(heap, (proc.clock, pid, proc.epoch))
+            pushes += 1
+        scheduler.account_bulk(pushes, stale_pops)
         self._scheduler = None
 
         stuck = [p.pid for p in self.processors if not p.done]

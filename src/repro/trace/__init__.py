@@ -10,8 +10,11 @@ into *data*:
 * :mod:`repro.trace.ingest` — capture the instrumented kernels (TM),
   task generators (TLS), and epoch streams (checkpoint) into the store,
   or convert external JSONL traces;
-* :mod:`repro.trace.replay` — workload adapters that materialise a
-  stored trace back into the exact objects the simulators consume.
+* :mod:`repro.trace.replay` — materialise a stored trace back into the
+  exact objects the simulators consume.
+
+The record format itself (workload ⇄ records, and the JSONL files) is
+:mod:`repro.sim.traceio`; this package adds only what is store-specific.
 
 CLI: ``python -m repro trace ingest|import|list|info``, and
 ``--trace-store``/``--trace-id`` on the ``tm``/``tls``/``checkpoint``
@@ -26,14 +29,9 @@ from repro.trace.ingest import (
     ingest_tls,
     ingest_tm,
 )
-from repro.trace.records import TRACE_KINDS, TRACE_SCHEMA_VERSION
-from repro.trace.replay import (
-    TRACE_WORKLOADS,
-    TraceCheckpointWorkload,
-    TraceTlsWorkload,
-    TraceTmWorkload,
-    load_trace_workload,
-)
+from repro.sim.traceio import TRACE_KINDS
+from repro.trace.records import TRACE_SCHEMA_VERSION
+from repro.trace.replay import load_trace_workload
 from repro.trace.store import (
     DEFAULT_CHUNK_BYTES,
     IngestResult,
@@ -49,13 +47,9 @@ __all__ = [
     "IngestResult",
     "TRACE_KINDS",
     "TRACE_SCHEMA_VERSION",
-    "TRACE_WORKLOADS",
-    "TraceCheckpointWorkload",
     "TraceInfo",
     "TraceReader",
     "TraceStore",
-    "TraceTlsWorkload",
-    "TraceTmWorkload",
     "TraceWriter",
     "import_jsonl",
     "ingest_checkpoint",

@@ -23,64 +23,18 @@ chunk size.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Union
 
 from repro.errors import TraceError
-from repro.sim.trace import ThreadTrace
-from repro.sim.traceio import decode_event_row, encode_event_row
-from repro.trace.records import header_row
+from repro.sim.traceio import read_jsonl, to_records
 from repro.trace.store import (
     DEFAULT_CHUNK_BYTES,
     IngestResult,
     TraceStore,
+    open_store,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.checkpoint.workload import CheckpointEpoch
-    from repro.tls.task import TlsTask
-
-
-# ----------------------------------------------------------------------
-# Workload objects -> record streams
-# ----------------------------------------------------------------------
-
-def tm_records(traces: Sequence[ThreadTrace]) -> Iterator[list]:
-    """The record stream of a TM thread-trace list."""
-    for trace in traces:
-        yield list(header_row("tm", trace.thread_id))
-        for event in trace.events:
-            yield encode_row(event)
-
-
-def tls_records(tasks: "Sequence[TlsTask]") -> Iterator[list]:
-    """The record stream of a TLS task list."""
-    for task in tasks:
-        yield list(header_row("tls", task.task_id, task.spawn_cursor))
-        for event in task.events:
-            yield encode_row(event)
-
-
-def checkpoint_records(
-    epochs: "Sequence[CheckpointEpoch]",
-) -> Iterator[list]:
-    """The record stream of a checkpoint epoch list."""
-    for epoch in epochs:
-        yield list(header_row("checkpoint", int(epoch.mispredicted)))
-        for op, address, value in epoch.ops:
-            if op == "load":
-                yield ["l", address]
-            elif op == "store":
-                yield ["s", address, value]
-            else:  # pragma: no cover - generator never emits others
-                raise TraceError(f"unknown checkpoint op {op!r}")
-
-
-def encode_row(event) -> list:
-    """One simulator event in record form."""
-    return encode_event_row(event)
 
 
 # ----------------------------------------------------------------------
@@ -95,9 +49,9 @@ def _ingest(
     rows: Iterable[list],
     chunk_bytes: int,
 ) -> IngestResult:
-    if not isinstance(store, TraceStore):
-        store = TraceStore(store)
-    writer = store.writer(kind, label=label, meta=meta, chunk_bytes=chunk_bytes)
+    writer = open_store(store).writer(
+        kind, label=label, meta=meta, chunk_bytes=chunk_bytes
+    )
     try:
         writer.add_all(rows)
         return writer.finish()
@@ -127,7 +81,9 @@ def ingest_tm(
         "txns_per_thread": txns_per_thread,
         "seed": seed,
     }
-    return _ingest(store, "tm", app, meta, tm_records(traces), chunk_bytes)
+    return _ingest(
+        store, "tm", app, meta, to_records("tm", traces), chunk_bytes
+    )
 
 
 def ingest_tls(
@@ -142,7 +98,9 @@ def ingest_tls(
 
     tasks = build_tls_workload(app, num_tasks=num_tasks, seed=seed)
     meta = {"app": app, "num_tasks": num_tasks, "seed": seed}
-    return _ingest(store, "tls", app, meta, tls_records(tasks), chunk_bytes)
+    return _ingest(
+        store, "tls", app, meta, to_records("tls", tasks), chunk_bytes
+    )
 
 
 def ingest_checkpoint(
@@ -158,7 +116,8 @@ def ingest_checkpoint(
     epochs = build_checkpoint_workload(app, num_epochs=num_epochs, seed=seed)
     meta = {"app": app, "num_epochs": num_epochs, "seed": seed}
     return _ingest(
-        store, "checkpoint", app, meta, checkpoint_records(epochs), chunk_bytes
+        store, "checkpoint", app, meta, to_records("checkpoint", epochs),
+        chunk_bytes,
     )
 
 
@@ -173,72 +132,6 @@ INGESTERS = {
 # ----------------------------------------------------------------------
 # External JSONL conversion
 # ----------------------------------------------------------------------
-
-def _jsonl_rows(path: Path, kind: str) -> Iterator[list]:
-    """Translate one external JSONL file into store records.
-
-    Accepts the :mod:`repro.sim.traceio` format: a dict header per
-    replay unit (``{"kind": "thread", "id": ...}`` for TM,
-    ``{"kind": "task", "id": ..., "spawn": ...}`` for TLS,
-    ``{"kind": "epoch", "mispredicted": ...}`` for checkpoint) followed
-    by compact event arrays.  Events are round-tripped through the
-    simulator's event constructors so malformed input fails here, at
-    conversion time, never at replay time.
-    """
-    header_kinds = {"tm": "thread", "tls": "task", "checkpoint": "epoch"}
-    expected = header_kinds[kind]
-    saw_header = False
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise TraceError(
-                    f"{path}:{line_number}: not JSON: {line[:60]!r}"
-                ) from error
-            if isinstance(row, dict):
-                if row.get("kind") != expected:
-                    raise TraceError(
-                        f"{path}:{line_number}: expected a {expected!r} "
-                        f"header for a {kind} trace, got {row!r}"
-                    )
-                saw_header = True
-                if kind == "tm":
-                    yield list(header_row("tm", int(row["id"])))
-                elif kind == "tls":
-                    yield list(
-                        header_row("tls", int(row["id"]), int(row["spawn"]))
-                    )
-                else:
-                    yield list(
-                        header_row(
-                            "checkpoint", int(bool(row["mispredicted"]))
-                        )
-                    )
-            else:
-                if not saw_header:
-                    raise TraceError(
-                        f"{path}:{line_number}: event before any header"
-                    )
-                if kind == "checkpoint":
-                    if not (
-                        isinstance(row, list)
-                        and row
-                        and row[0] in ("l", "s")
-                    ):
-                        raise TraceError(
-                            f"{path}:{line_number}: checkpoint traces hold "
-                            f"only loads and stores, got {row!r}"
-                        )
-                    yield row
-                else:
-                    # Validate through the event constructors, then
-                    # re-encode canonically.
-                    yield encode_row(decode_event_row(row))
-
 
 def import_jsonl(
     store: "Union[TraceStore, str, os.PathLike[str]]",
@@ -256,10 +149,6 @@ def import_jsonl(
         )
     meta = {"imported_from": source.name}
     return _ingest(
-        store,
-        kind,
-        label or source.stem,
-        meta,
-        _jsonl_rows(source, kind),
+        store, kind, label or source.stem, meta, read_jsonl(source, kind),
         chunk_bytes,
     )

@@ -10,39 +10,22 @@ record, ``\\n`` terminated).  The canonical encoding matters twice:
 * replay decodes exactly what ingest encoded — byte-identical artifacts
   at any worker count are only possible because there is one encoding.
 
-Two record classes exist:
-
-* **stream headers** open a replay unit and carry its identity —
-  ``["T", thread_id]`` (TM thread), ``["K", task_id, spawn_cursor]``
-  (TLS task), ``["E", mispredicted]`` (checkpoint epoch, flag 0/1);
-* **events** belong to the most recent header and reuse the compact
-  forms of :mod:`repro.sim.traceio` — ``["l", addr]``, ``["s", addr,
-  value]``, ``["c", cycles]``, ``["b"]``, ``["e"]``.
+The records themselves (headers, events, what each trace kind may hold)
+are defined once, in :mod:`repro.sim.traceio`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import TraceError
+from repro.sim.traceio import check_record
 
 #: Bump when the record vocabulary or the canonical encoding changes —
 #: trace ids embed it, so old and new stores can never serve each other's
 #: content under one id.
 TRACE_SCHEMA_VERSION = 1
-
-#: The substrates a stored trace can target.
-TRACE_KINDS = ("tm", "tls", "checkpoint")
-
-#: Header tags, by trace kind.
-HEADER_TAGS = {"tm": "T", "tls": "K", "checkpoint": "E"}
-
-#: Event tags shared with :mod:`repro.sim.traceio`.
-EVENT_TAGS = ("l", "s", "c", "b", "e")
-
-#: Arity (including the tag) of every record, for validation at ingest.
-_ARITY = {"T": 2, "K": 3, "E": 2, "l": 2, "s": 3, "c": 2, "b": 1, "e": 1}
 
 
 def encode_record(row: Sequence) -> bytes:
@@ -66,37 +49,7 @@ def decode_record(line: bytes) -> List:
 def validate_record(row: Sequence, kind: str) -> None:
     """Reject rows that are not records of a ``kind`` trace.
 
-    Ingest-side guard: the store must never accept a record the replay
-    adapters cannot interpret.  Headers must match the trace kind, event
-    tags must be known, and arities must be exact.
+    Ingest-side guard: the store must never accept a record that replay
+    cannot interpret.
     """
-    tag = row[0] if row else None
-    expected = _ARITY.get(tag)
-    if expected is None:
-        raise TraceError(f"unknown trace record tag {tag!r} in {row!r}")
-    if len(row) != expected:
-        raise TraceError(
-            f"record {row!r} has {len(row)} fields, expected {expected}"
-        )
-    if tag in HEADER_TAGS.values() and tag != HEADER_TAGS[kind]:
-        raise TraceError(
-            f"header {row!r} does not belong in a {kind!r} trace"
-        )
-    if kind == "checkpoint" and tag in ("c", "b", "e"):
-        raise TraceError(
-            f"checkpoint traces hold only loads and stores, got {row!r}"
-        )
-    if kind == "tls" and tag in ("b", "e"):
-        raise TraceError(
-            f"TLS task traces have no transaction markers, got {row!r}"
-        )
-
-
-def is_header(row: Sequence) -> bool:
-    """Whether a decoded row opens a new replay unit."""
-    return bool(row) and row[0] in ("T", "K", "E")
-
-
-def header_row(kind: str, *fields: int) -> Tuple:
-    """Build the header record of one replay unit of a ``kind`` trace."""
-    return (HEADER_TAGS[kind], *fields)
+    check_record(kind, list(row))

@@ -1,179 +1,30 @@
-"""Replay adapters: stored traces → the substrates' workload objects.
+"""Replay: stored traces → the substrates' workload objects.
 
-Each adapter plugs into the same seam the synthetic generators feed —
-``run_tm_comparison`` consumes ``List[ThreadTrace]``,
+:func:`load_trace_workload` plugs into the same seam the synthetic
+generators feed — ``run_tm_comparison`` consumes ``List[ThreadTrace]``,
 ``run_tls_comparison`` consumes ``List[TlsTask]``, and
 ``run_checkpoint_comparison`` consumes ``List[CheckpointEpoch]`` — so a
 replayed run differs from a generated one *only* in where the events
-came from.  Decoding is pure: the same trace id always materialises the
-identical workload objects, which is what makes replayed comparison
-artifacts byte-identical across worker counts and chunk sizes.
+came from.  Decoding is :func:`repro.sim.traceio.from_records`, and it
+is pure: the same trace id always materialises the identical workload
+objects, which is what makes replayed comparison artifacts
+byte-identical across worker counts and chunk sizes.
 
-The adapters stream through :class:`~repro.trace.store.TraceReader`
-(one chunk resident at a time) while accumulating the replay units;
-the workload objects themselves are what the substrates require, so
-total memory is proportional to the trace's event count, exactly as
-with the generators.
+Records stream through :class:`~repro.trace.store.TraceReader` (one
+chunk resident at a time) while the replay units accumulate; the
+workload objects themselves are what the substrates require, so total
+memory is proportional to the trace's event count, exactly as with the
+generators.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, List, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.errors import TraceError
-from repro.sim.trace import MemEvent, ThreadTrace, compute, load, store as store_event, tx_begin, tx_end
-from repro.trace.store import TraceReader, TraceStore
-
-if TYPE_CHECKING:  # runtime imports are deferred (substrate layering)
-    from repro.checkpoint.workload import CheckpointEpoch
-    from repro.tls.task import TlsTask
-
-_EVENT_DECODERS = {
-    "l": lambda row: load(row[1]),
-    "s": lambda row: store_event(row[1], row[2]),
-    "c": lambda row: compute(row[1]),
-    "b": lambda row: tx_begin(),
-    "e": lambda row: tx_end(),
-}
-
-
-def open_store(
-    store: "Union[TraceStore, str, os.PathLike[str]]",
-) -> TraceStore:
-    """Accept a :class:`TraceStore` or a directory path."""
-    if isinstance(store, TraceStore):
-        return store
-    return TraceStore(store)
-
-
-class _TraceWorkload:
-    """Shared skeleton: kind check, reader plumbing, obs threading."""
-
-    kind = ""
-
-    def __init__(
-        self,
-        store: "Union[TraceStore, str, os.PathLike[str]]",
-        trace_id: str,
-        obs: Optional[Any] = None,
-    ) -> None:
-        self.store = open_store(store)
-        self.trace_id = trace_id
-        metrics = obs.metrics if obs is not None else None
-        self.reader: TraceReader = self.store.reader(trace_id, metrics=metrics)
-        if self.reader.info.kind != self.kind:
-            raise TraceError(
-                f"trace {trace_id!r} is a {self.reader.info.kind!r} trace; "
-                f"a {self.kind!r} workload cannot replay it"
-            )
-
-    def _decode_event(self, row: List) -> MemEvent:
-        decoder = _EVENT_DECODERS.get(row[0])
-        if decoder is None:
-            raise TraceError(
-                f"record {row!r} is not an event of a {self.kind!r} trace"
-            )
-        return decoder(row)
-
-
-class TraceTmWorkload(_TraceWorkload):
-    """Replays a stored TM trace as the thread list a
-    :class:`~repro.tm.system.TmSystem` consumes."""
-
-    kind = "tm"
-
-    def load(self) -> List[ThreadTrace]:
-        traces: List[ThreadTrace] = []
-        thread_id: Optional[int] = None
-        events: List[MemEvent] = []
-        for row in self.reader.records():
-            if row[0] == "T":
-                if thread_id is not None:
-                    traces.append(ThreadTrace(thread_id, events))
-                thread_id = row[1]
-                events = []
-            else:
-                events.append(self._decode_event(row))
-        if thread_id is not None:
-            traces.append(ThreadTrace(thread_id, events))
-        if not traces:
-            raise TraceError(
-                f"trace {self.trace_id!r} holds no TM threads"
-            )
-        return traces
-
-
-class TraceTlsWorkload(_TraceWorkload):
-    """Replays a stored TLS trace as the task list a
-    :class:`~repro.tls.system.TlsSystem` consumes."""
-
-    kind = "tls"
-
-    def load(self) -> "List[TlsTask]":
-        from repro.tls.task import TlsTask
-
-        tasks: List[TlsTask] = []
-        header: Optional[List] = None
-        events: List[MemEvent] = []
-        for row in self.reader.records():
-            if row[0] == "K":
-                if header is not None:
-                    tasks.append(TlsTask(header[1], events, header[2]))
-                header = row
-                events = []
-            else:
-                events.append(self._decode_event(row))
-        if header is not None:
-            tasks.append(TlsTask(header[1], events, header[2]))
-        if not tasks:
-            raise TraceError(
-                f"trace {self.trace_id!r} holds no TLS tasks"
-            )
-        return tasks
-
-
-class TraceCheckpointWorkload(_TraceWorkload):
-    """Replays a stored checkpoint trace as the epoch stream a
-    :class:`~repro.checkpoint.system.CheckpointSystem` consumes."""
-
-    kind = "checkpoint"
-
-    def load(self) -> "List[CheckpointEpoch]":
-        from repro.checkpoint.workload import CheckpointEpoch, CheckpointOp
-
-        epochs: List[CheckpointEpoch] = []
-        mispredicted: Optional[bool] = None
-        ops: List[CheckpointOp] = []
-        for row in self.reader.records():
-            if row[0] == "E":
-                if mispredicted is not None:
-                    epochs.append(CheckpointEpoch(tuple(ops), mispredicted))
-                mispredicted = bool(row[1])
-                ops = []
-            elif row[0] == "l":
-                ops.append(("load", row[1], 0))
-            elif row[0] == "s":
-                ops.append(("store", row[1], row[2]))
-            else:  # pragma: no cover - ingest validation rejects these
-                raise TraceError(
-                    f"record {row!r} is not a checkpoint trace record"
-                )
-        if mispredicted is not None:
-            epochs.append(CheckpointEpoch(tuple(ops), mispredicted))
-        if not epochs:
-            raise TraceError(
-                f"trace {self.trace_id!r} holds no checkpoint epochs"
-            )
-        return epochs
-
-
-#: Substrate kind -> replay adapter class.
-TRACE_WORKLOADS = {
-    "tm": TraceTmWorkload,
-    "tls": TraceTlsWorkload,
-    "checkpoint": TraceCheckpointWorkload,
-}
+from repro.sim.traceio import FORMATS, from_records
+from repro.trace.store import TraceStore, open_store
 
 
 def load_trace_workload(
@@ -183,7 +34,16 @@ def load_trace_workload(
     obs: Optional[Any] = None,
 ) -> Any:
     """Materialise the ``kind`` workload of one stored trace."""
-    adapter_cls = TRACE_WORKLOADS.get(kind)
-    if adapter_cls is None:
+    if kind not in FORMATS:
         raise TraceError(f"unknown trace workload kind {kind!r}")
-    return adapter_cls(store, trace_id, obs=obs).load()
+    metrics = obs.metrics if obs is not None else None
+    reader = open_store(store).reader(trace_id, metrics=metrics)
+    if reader.info.kind != kind:
+        raise TraceError(
+            f"trace {trace_id!r} is a {reader.info.kind!r} trace; "
+            f"a {kind!r} workload cannot replay it"
+        )
+    units = from_records(kind, reader.records())
+    if not units:
+        raise TraceError(f"trace {trace_id!r} holds no {kind} units")
+    return units

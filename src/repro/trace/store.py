@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import TraceError
+from repro.sim.traceio import TRACE_KINDS
 from repro.trace.records import (
-    TRACE_KINDS,
     TRACE_SCHEMA_VERSION,
     decode_record,
     encode_record,
@@ -500,3 +500,12 @@ class TraceReader:
                 f"{recomputed!r} — the store is corrupt"
             )
         return recomputed
+
+
+def open_store(
+    store: "TraceStore | str | os.PathLike[str]",
+) -> TraceStore:
+    """Accept a :class:`TraceStore` or a directory path."""
+    if isinstance(store, TraceStore):
+        return store
+    return TraceStore(store)

@@ -1,5 +1,7 @@
 """Tests for trace serialisation."""
 
+import json
+
 import pytest
 
 from repro.errors import TraceError
@@ -73,3 +75,63 @@ class TestTlsRoundTrip:
         save_tls_tasks(path, tasks)
         path.write_text(path.read_text() + "\n\n")
         assert len(load_tls_tasks(path)) == 2
+
+
+HEADERS = {
+    "tm": {"kind": "thread", "id": 0},
+    "tls": {"kind": "task", "id": 0, "spawn": 0},
+    "checkpoint": {"kind": "epoch", "mispredicted": False},
+}
+
+
+#: Corrupt line builders, given the kind's valid header.
+CORRUPT_LINES = {
+    "not-json": lambda header: "{not json",
+    # A lone surrogate, written below as the invalid UTF-8 byte 0xff.
+    "not-utf8": lambda header: "\udcff",
+    "scalar-row": lambda header: "7",
+    "empty-list": lambda header: "[]",
+    "header-without-fields": lambda header: json.dumps(
+        {"kind": header["kind"]}
+    ),
+    # The first field after "kind": the id, or the epoch's flag.
+    "non-integer-header-field": lambda header: json.dumps(
+        {**header, list(header)[1]: "seven"}
+    ),
+}
+
+
+def _import(kind):
+    def read(path):
+        from repro.trace import TraceStore, import_jsonl
+
+        import_jsonl(TraceStore(path.parent / "store"), path, kind)
+
+    return read
+
+
+READERS = {
+    "load_tm_traces": ("tm", load_tm_traces),
+    "load_tls_tasks": ("tls", load_tls_tasks),
+    "import_jsonl-tm": ("tm", _import("tm")),
+    "import_jsonl-tls": ("tls", _import("tls")),
+    "import_jsonl-checkpoint": ("checkpoint", _import("checkpoint")),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("corrupt", sorted(CORRUPT_LINES))
+def test_corrupt_line_is_a_trace_error_with_its_location(
+    tmp_path, reader, corrupt
+):
+    kind, read = READERS[reader]
+    header = HEADERS[kind]
+    path = tmp_path / "corrupt.jsonl"
+    text = (
+        json.dumps(header) + "\n"
+        + json.dumps(["l", 64]) + "\n"
+        + CORRUPT_LINES[corrupt](header) + "\n"
+    )
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(TraceError, match=r"corrupt\.jsonl:3: "):
+        read(path)

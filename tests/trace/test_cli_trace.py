@@ -81,6 +81,30 @@ class TestIngestAndInspect:
         assert main(["trace", "info", trace_id, "--store", store]) == 0
         assert "label:         ext" in capsys.readouterr().out
 
+    def test_import_of_a_header_without_id_fails_cleanly(
+        self, tmp_path, capsys
+    ):
+        from repro.trace import TraceStore
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            json.dumps({"kind": "thread"}) + "\n"
+            + json.dumps(["l", 64]) + "\n"
+        )
+        store = tmp_path / "store"
+        assert main([
+            "trace", "import", str(path), "--kind", "tm",
+            "--store", str(store),
+        ]) == 2
+        captured = capsys.readouterr()
+        err_lines = captured.err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: ")
+        assert "bad.jsonl:1" in err_lines[0]
+        assert captured.out == ""
+        assert TraceStore(store).traces() == []
+        assert list(TraceStore(store).chunks_root.iterdir()) == []
+
     def test_unknown_id_prefix_errors(self, tmp_path, capsys):
         store, _ = ingest_tls_trace(tmp_path, capsys)
         assert main(["trace", "info", "ffff", "--store", store]) == 2

@@ -11,12 +11,14 @@ import json
 import pytest
 
 from repro.errors import TraceError
+from repro.sim.traceio import from_records, to_records
 from repro.trace import (
     TraceStore,
     import_jsonl,
     ingest_checkpoint,
     ingest_tls,
     ingest_tm,
+    load_trace_workload,
 )
 
 
@@ -36,41 +38,45 @@ class TestKernelCapture:
                     other_size.trace_id}) == 3
 
     def test_tm_capture_matches_the_generator(self, tmp_path):
-        from repro.trace.replay import TraceTmWorkload
         from repro.workloads.kernels import build_tm_workload
 
         store = TraceStore(tmp_path)
         result = ingest_tm(store, "cb", num_threads=2, txns_per_thread=2,
                            seed=3)
-        replayed = TraceTmWorkload(store, result.trace_id).load()
+        replayed = load_trace_workload("tm", store, result.trace_id)
         built = build_tm_workload("cb", num_threads=2, txns_per_thread=2,
                                   seed=3)
-        assert [t.thread_id for t in replayed] == [t.thread_id for t in built]
-        assert [t.events for t in replayed] == [t.events for t in built]
+        round_trip = from_records("tm", to_records("tm", built))
+        for units in (replayed, round_trip):
+            assert [(t.thread_id, t.events) for t in units] == (
+                [(t.thread_id, t.events) for t in built]
+            )
 
     def test_tls_capture_matches_the_generator(self, tmp_path):
-        from repro.trace.replay import TraceTlsWorkload
         from repro.workloads.tls_spec import build_tls_workload
 
         store = TraceStore(tmp_path)
         result = ingest_tls(store, "gzip", num_tasks=12, seed=3)
-        replayed = TraceTlsWorkload(store, result.trace_id).load()
+        replayed = load_trace_workload("tls", store, result.trace_id)
         built = build_tls_workload("gzip", num_tasks=12, seed=3)
-        assert [(t.task_id, t.spawn_cursor, t.events) for t in replayed] == (
-            [(t.task_id, t.spawn_cursor, t.events) for t in built]
-        )
+        round_trip = from_records("tls", to_records("tls", built))
+        for units in (replayed, round_trip):
+            assert [(t.task_id, t.spawn_cursor, t.events) for t in units] == (
+                [(t.task_id, t.spawn_cursor, t.events) for t in built]
+            )
 
     def test_checkpoint_capture_matches_the_generator(self, tmp_path):
         from repro.checkpoint.workload import build_checkpoint_workload
-        from repro.trace.replay import TraceCheckpointWorkload
 
         store = TraceStore(tmp_path)
         result = ingest_checkpoint(store, "predictor", num_epochs=8)
-        replayed = TraceCheckpointWorkload(store, result.trace_id).load()
+        replayed = load_trace_workload("checkpoint", store, result.trace_id)
         built = build_checkpoint_workload("predictor", num_epochs=8)
-        assert [(e.ops, e.mispredicted) for e in replayed] == (
-            [(e.ops, e.mispredicted) for e in built]
-        )
+        round_trip = from_records("checkpoint", to_records("checkpoint", built))
+        for units in (replayed, round_trip):
+            assert [(e.ops, e.mispredicted) for e in units] == (
+                [(e.ops, e.mispredicted) for e in built]
+            )
 
     def test_meta_records_the_capture_parameters(self, tmp_path):
         store = TraceStore(tmp_path)

@@ -15,10 +15,9 @@ import zlib
 import pytest
 
 from repro.errors import TraceError
+from repro.sim.traceio import FORMATS, TRACE_KINDS
 from repro.trace import TraceStore
 from repro.trace.records import (
-    HEADER_TAGS,
-    TRACE_KINDS,
     decode_record,
     encode_record,
     validate_record,
@@ -62,8 +61,8 @@ class TestRecords:
 
     def test_headers_must_match_the_kind(self):
         for kind in TRACE_KINDS:
-            for other, tag in HEADER_TAGS.items():
-                row = {"T": ["T", 0], "K": ["K", 0, 0], "E": ["E", 0]}[tag]
+            for other, fmt in FORMATS.items():
+                row = {"T": ["T", 0], "K": ["K", 0, 0], "E": ["E", 0]}[fmt.tag]
                 if other == kind:
                     validate_record(row, kind)
                 else:
