@@ -10,7 +10,7 @@ BDM plus the protocol glue — exactly as in the paper's hardware split.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.line import CacheLine
@@ -21,7 +21,8 @@ from repro.errors import SimulationError
 class Cache:
     """A set-associative, write-back, write-allocate cache with LRU."""
 
-    __slots__ = ("geometry", "stats", "_sets", "_set_mask", "_associativity")
+    __slots__ = ("geometry", "stats", "_sets", "_set_mask", "_associativity",
+                 "directory", "directory_bit")
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
@@ -36,6 +37,10 @@ class Cache:
         self._sets: List["OrderedDict[int, CacheLine]"] = [
             OrderedDict() for _ in range(geometry.num_sets)
         ]
+        #: Optional line-holder directory shared by a machine's caches
+        #: (line address -> bitmask of holders), kept by fill/removal.
+        self.directory: Optional[Dict[int, int]] = None
+        self.directory_bit = 0
 
     # ------------------------------------------------------------------
     # Lookup
@@ -80,14 +85,30 @@ class Cache:
                 f"fill of line 0x{line_address:x} already present in set {index}"
             )
         victim: Optional[CacheLine] = None
+        directory = self.directory
         if len(cache_set) >= self._associativity:
-            _, victim = cache_set.popitem(last=False)
+            victim_address, victim = cache_set.popitem(last=False)
             self.stats.evictions += 1
             if victim.dirty:
                 self.stats.dirty_evictions += 1
+            if directory is not None:
+                self._leave_directory(directory, victim_address)
         cache_set[line_address] = CacheLine(line_address, words, dirty)
         self.stats.fills += 1
+        if directory is not None:
+            # XOR, not OR (the bit is clear here): a bit a missed removal
+            # left behind turns into a missing holder, i.e. a stale read.
+            directory[line_address] = (
+                directory.get(line_address, 0) ^ self.directory_bit
+            )
         return victim
+
+    def _leave_directory(self, directory: Dict[int, int], line_address: int) -> None:
+        holders = directory[line_address] ^ self.directory_bit
+        if holders:
+            directory[line_address] = holders
+        else:
+            del directory[line_address]
 
     def victim_if_full(self, line_address: int) -> Optional[CacheLine]:
         """Peek at the line that :meth:`fill` would evict, without evicting.
@@ -106,6 +127,8 @@ class Cache:
         line = cache_set.pop(line_address, None)
         if line is not None:
             self.stats.invalidations += 1
+            if self.directory is not None:
+                self._leave_directory(self.directory, line_address)
         return line
 
     def clean(self, line_address: int) -> None:
@@ -149,6 +172,8 @@ class Cache:
             for line in cache_set.values():
                 if line.dirty:
                     dirty.append(line)
+                if self.directory is not None:
+                    self._leave_directory(self.directory, line.line_address)
             cache_set.clear()
         return dirty
 

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Tuple
 
-from repro.mem.address import words_of_line
+from repro.mem.address import WORD_TO_LINE_SHIFT, WORDS_PER_LINE, words_of_line
+
+#: The default operand of load_line's ``dict.get`` map: untouched words
+#: read as zero.
+_ZEROS = (0,) * WORDS_PER_LINE
 
 
 class WordMemory:
@@ -42,8 +46,10 @@ class WordMemory:
 
     def load_line(self, line_address: int) -> Tuple[int, ...]:
         """Return the 16 word values of a line, in address order."""
-        get = self._words.get
-        return tuple([get(w, 0) for w in words_of_line(line_address)])
+        base = line_address << WORD_TO_LINE_SHIFT
+        return tuple(
+            map(self._words.get, range(base, base + WORDS_PER_LINE), _ZEROS)
+        )
 
     def store_line(self, line_address: int, values: Iterable[int]) -> None:
         """Write all 16 words of a line, in address order."""

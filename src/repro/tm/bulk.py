@@ -20,7 +20,7 @@ no decision consults them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.coherence.message import MessageKind
 from repro.core.bdm import (
@@ -37,6 +37,10 @@ from repro.tm.processor import TmProcessor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tm.system import TmSystem
+
+# Enum members as globals (a member is a metaclass attribute lookup).
+_CONFLICT = SetRestrictionAction.CONFLICT
+_WRITEBACK_NONSPEC = SetRestrictionAction.WRITEBACK_NONSPEC
 
 
 class BulkScheme(TmScheme):
@@ -182,14 +186,13 @@ class BulkScheme(TmScheme):
         context = state.get("ctx")
         if context is None:
             return None
-        bdm.set_running(context)
+        if bdm.running is not context:
+            bdm.set_running(context)
         line_address = byte_to_line(byte_address)
         action = bdm.store_set_action(line_address)
-        if action is not SetRestrictionAction.CONFLICT:
-            # The whole Set Restriction is resolved here in one pass:
-            # prepare_store used to recompute the same decision a few
-            # bytecodes later, doubling the per-store decision cost.
-            if action is SetRestrictionAction.WRITEBACK_NONSPEC:
+        if action is not _CONFLICT:
+            # The whole Set Restriction is resolved here in one pass.
+            if action is _WRITEBACK_NONSPEC:
                 system.charge_safe_writebacks(
                     proc.cache, bdm, proc.cache.set_index(line_address)
                 )
@@ -206,11 +209,8 @@ class BulkScheme(TmScheme):
         ):
             return owner_proc.pid  # requester stalls (strict order: no cycles)
         system.squash_preempted_context(proc, owner_context)
-        # The store proceeds this step: apply the post-squash decision
-        # (exactly what prepare_store would have computed).
-        if bdm.store_set_action(line_address) is (
-            SetRestrictionAction.WRITEBACK_NONSPEC
-        ):
+        # The store proceeds this step: apply the post-squash decision.
+        if bdm.store_set_action(line_address) is _WRITEBACK_NONSPEC:
             system.charge_safe_writebacks(proc.cache, bdm, set_index)
         return None
 
@@ -219,18 +219,6 @@ class BulkScheme(TmScheme):
         if proc.txn is None:
             return 0
         return proc.cursor - proc.txn.start_cursor
-
-    def prepare_store(
-        self, system: "TmSystem", proc: TmProcessor, line_address: int
-    ) -> None:
-        """The Set Restriction was already enforced by :meth:`eager_check`
-        (one decision pass per store); only the missing-context guard
-        remains here.
-        """
-        if proc.scheme_state.get("ctx") is None:
-            raise SimulationError(
-                f"processor {proc.pid} has no running BDM context"
-            )
 
     def record_load(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int
@@ -244,7 +232,8 @@ class BulkScheme(TmScheme):
             raise SimulationError(
                 f"processor {proc.pid} has no running BDM context"
             )
-        bdm.set_running(context)
+        if bdm.running is not context:
+            bdm.set_running(context)
         # The BDM hands back the address's encode mask so the section
         # register records the access without re-encoding it.
         mask = bdm.record_load(byte_address)
@@ -263,7 +252,8 @@ class BulkScheme(TmScheme):
             raise SimulationError(
                 f"processor {proc.pid} has no running BDM context"
             )
-        bdm.set_running(context)
+        if bdm.running is not context:
+            bdm.set_running(context)
         config = bdm.config
         address = byte_address >> bdm._byte_shift
         mask = config.flat_mask(address)
@@ -457,18 +447,26 @@ class BulkScheme(TmScheme):
     # Non-speculative invalidations and overflow
     # ------------------------------------------------------------------
 
-    def nonspec_inval_check(
-        self, system: "TmSystem", proc: TmProcessor, byte_address: int
-    ) -> bool:
-        """Membership test a ∈ R ∨ a ∈ W (Section 4.2)."""
-        context = proc.scheme_state.get("ctx")
-        if context is None:
-            return False
-        granule = byte_to_line(byte_address)
-        return (
-            granule in context.read_signature
-            or granule in context.write_signature
-        )
+    def nonspec_victims(
+        self, system: "TmSystem", writer: TmProcessor, byte_address: int
+    ) -> Iterator[TmProcessor]:
+        """Membership test a ∈ R ∨ a ∈ W (Section 4.2) against every live
+        context: the granule is encoded once and ANDed with each R and W
+        register."""
+        mask = None
+        for other in system.processors:
+            context = other.scheme_state.get("ctx")
+            if other is writer or other.txn is None or context is None:
+                continue
+            if mask is None:
+                mask = context.read_signature.config.flat_mask(
+                    byte_to_line(byte_address)
+                )
+            if (
+                context.read_signature.to_flat_int() & mask == mask
+                or context.write_signature.to_flat_int() & mask == mask
+            ):
+                yield other
 
     def miss_checks_overflow(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int

@@ -14,8 +14,9 @@ state lives in :attr:`TmProcessor.scheme_state`.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro.mem.address import LINE_SHIFT
 from repro.spec.scheme import SpecScheme
 from repro.tm.processor import TmProcessor
 
@@ -159,12 +160,22 @@ class TmScheme(SpecScheme):
     # Non-speculative invalidations and overflow
     # ------------------------------------------------------------------
 
-    def nonspec_inval_check(
-        self, system: "TmSystem", proc: TmProcessor, byte_address: int
-    ) -> bool:
-        """Whether an incoming non-speculative invalidation for
-        ``byte_address`` must squash ``proc``'s transaction."""
-        return False
+    def nonspec_victims(
+        self, system: "TmSystem", writer: TmProcessor, byte_address: int
+    ) -> Iterator[TmProcessor]:
+        """The live transactions a non-speculative store by ``writer`` to
+        ``byte_address`` must squash, in pid order.
+
+        A generator: the system squashes each victim before the next
+        check.  The default tests the exact aggregate read/write sets.
+        """
+        line = byte_address >> LINE_SHIFT
+        for other in system.processors:
+            txn = other.txn
+            if other is not writer and txn is not None and (
+                line in txn.all_read_granules() or line in txn.all_write_granules()
+            ):
+                yield other
 
     def miss_checks_overflow(
         self, system: "TmSystem", proc: TmProcessor, byte_address: int

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.coherence.message import MessageKind
-from repro.mem.address import byte_to_line
 from repro.tm.conflict import TmScheme
 from repro.tm.processor import TmProcessor
 
@@ -68,14 +67,8 @@ class LazyScheme(TmScheme):
     ) -> None:
         assert committer.txn is not None
         for line_address in committer.txn.all_write_lines():
-            line = receiver.cache.lookup(line_address, touch=False)
-            if line is None:
-                continue
-            receiver.cache.invalidate(line_address)
-            system.stats.commit_invalidations += 1
-
-    def commit_cleanup(self, system: "TmSystem", proc: TmProcessor) -> None:
-        pass
+            if receiver.cache.invalidate(line_address) is not None:
+                system.stats.commit_invalidations += 1
 
     # ------------------------------------------------------------------
     # Squash
@@ -91,25 +84,10 @@ class LazyScheme(TmScheme):
                 proc.cache.invalidate(line_address)
 
     # ------------------------------------------------------------------
-    # Non-speculative invalidations and overflow
+    # Overflow (a conventional scheme has no membership filter: every
+    # miss of an overflowed transaction searches the overflow area, as
+    # TmScheme.miss_checks_overflow does by default)
     # ------------------------------------------------------------------
-
-    def nonspec_inval_check(
-        self, system: "TmSystem", proc: TmProcessor, byte_address: int
-    ) -> bool:
-        assert proc.txn is not None
-        line = byte_to_line(byte_address)
-        return (
-            line in proc.txn.all_read_granules()
-            or line in proc.txn.all_write_granules()
-        )
-
-    def miss_checks_overflow(
-        self, system: "TmSystem", proc: TmProcessor, byte_address: int
-    ) -> bool:
-        """A conventional scheme has no membership filter: every miss of
-        an overflowed transaction must search the overflow structure."""
-        return proc.has_overflow()
 
     def overflow_disambiguation_cost(
         self,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.coherence.message import MessageKind
 from repro.errors import SimulationError
@@ -32,7 +32,7 @@ from repro.mem.address import LINE_SHIFT, WORD_SHIFT
 from repro.mem.memory import WordMemory
 from repro.obs import Observability
 from repro.sim.engine import MinClockScheduler
-from repro.sim.trace import EventKind, MemEvent, ThreadTrace
+from repro.sim.trace import EventKind, ThreadTrace
 from repro.spec.system import SpecSystemCore
 from repro.tm.conflict import TmScheme
 from repro.tm.params import TM_DEFAULTS, TmParams
@@ -43,6 +43,14 @@ from repro.tm.txstate import TxnState
 #: One Figure 15 sample: (committed write set, receiver read set, receiver
 #: write set) of a disambiguation whose exact dependence set was empty.
 DisambiguationSample = Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
+
+# Enum members as globals: a member is a metaclass attribute lookup, and
+# _step tests up to five kinds per event.
+_LOAD, _STORE, _COMPUTE = EventKind.LOAD, EventKind.STORE, EventKind.COMPUTE
+_TX_BEGIN, _TX_END = EventKind.TX_BEGIN, EventKind.TX_END
+_FILL, _NACK, _WRITEBACK, _INVALIDATION = (
+    MessageKind.FILL, MessageKind.NACK, MessageKind.WRITEBACK, MessageKind.INVALIDATION
+)
 
 
 @dataclass
@@ -109,6 +117,13 @@ class TmSystem(SpecSystemCore):
                     * params.threads_per_core
                 ]
                 proc.cache = first.cache
+        #: The line-holder directory of the machine's caches: each
+        #: distinct cache's bit is that of its lowest pid, so holders
+        #: are visited in ascending pid order.
+        self.directory: Dict[int, int] = {}
+        for proc in reversed(self.processors):
+            proc.cache.directory = self.directory
+            proc.cache.directory_bit = 1 << proc.pid
         self.collect_samples = collect_samples
         self.max_samples = max_samples
         self.samples: List[DisambiguationSample] = []
@@ -141,6 +156,7 @@ class TmSystem(SpecSystemCore):
                 proc.done = True
             else:
                 scheduler.push(proc.clock, proc.pid, proc.epoch)
+        self._bind_hooks()
         step = self._step
         # Drain the scheduler's heap directly: plain heappush/heappop,
         # with pushes and stale pops counted here and credited once.
@@ -157,10 +173,15 @@ class TmSystem(SpecSystemCore):
                 stale_pops += 1
                 continue
             step(proc)
-            if proc.done or proc.waiting_on is not None:
-                continue
-            heappush_(heap, (proc.clock, pid, proc.epoch))
-            pushes += 1
+            # Keep stepping while the processor's entry would pop straight
+            # back off the heap; each extra step counts as the push it saves.
+            while not proc.done and proc.waiting_on is None:
+                entry = (proc.clock, pid, proc.epoch)
+                pushes += 1
+                if heap and not entry < heap[0]:
+                    heappush_(heap, entry)
+                    break
+                step(proc)
         scheduler.account_bulk(pushes, stale_pops)
         self._scheduler = None
 
@@ -181,6 +202,19 @@ class TmSystem(SpecSystemCore):
             samples=self.samples,
         )
 
+    def _bind_hooks(self) -> None:
+        """Bind the per-access hooks (at run start and after a swap); one
+        the scheme inherits as TmScheme's no-op binds to ``None``."""
+        scheme = self.scheme
+        hooks = []
+        for name in ("eager_check", "prepare_store", "record_load", "record_store"):
+            hook = getattr(scheme, name)
+            inherited = getattr(hook, "__func__", None) is getattr(TmScheme, name)
+            hooks.append(None if inherited else hook)
+        self._store_check, self._prepare_store = hooks[0], hooks[1]
+        self._record_load, self._record_store = hooks[2], hooks[3]
+        self._load_check = hooks[0] if scheme.eager_checks_loads else None
+
     # ------------------------------------------------------------------
     # One step of one processor
     # ------------------------------------------------------------------
@@ -194,32 +228,30 @@ class TmSystem(SpecSystemCore):
         # access pre-check (formerly a separate _access method) is
         # inlined into both branches: it sat two frames deep on the
         # hottest path of the whole simulator.
-        if kind is EventKind.LOAD:
-            if proc.txn is not None and self.scheme.eager_checks_loads:
-                stall_on = self.scheme.eager_check(
-                    self, proc, event.address, False
-                )
+        if kind is _LOAD:
+            check = self._load_check
+            if check is not None and proc.txn is not None:
+                stall_on = check(self, proc, event.address, False)
                 if stall_on is not None:
                     self._note_stall(proc, stall_on)
                     return
             self._load(proc, event.address)
             proc.cursor += 1
-        elif kind is EventKind.STORE:
-            if proc.txn is not None:
-                stall_on = self.scheme.eager_check(
-                    self, proc, event.address, True
-                )
+        elif kind is _STORE:
+            check = self._store_check
+            if check is not None and proc.txn is not None:
+                stall_on = check(self, proc, event.address, True)
                 if stall_on is not None:
                     self._note_stall(proc, stall_on)
                     return
             self._store(proc, event.address, event.value)
             proc.cursor += 1
-        elif kind is EventKind.COMPUTE:
+        elif kind is _COMPUTE:
             proc.clock += event.cycles
             proc.cursor += 1
-        elif kind is EventKind.TX_BEGIN:
+        elif kind is _TX_BEGIN:
             self._begin(proc)
-        elif kind is EventKind.TX_END:
+        elif kind is _TX_END:
             self._end(proc)
         else:  # pragma: no cover - exhaustive over EventKind
             raise SimulationError(f"unhandled event kind {kind!r}")
@@ -295,13 +327,6 @@ class TmSystem(SpecSystemCore):
         proc.waiting_on = stall_on
         target.waiters.append(proc.pid)
 
-    def _expected_value(self, proc: TmProcessor, word_address: int) -> int:
-        if proc.txn is not None:
-            speculative = proc.txn.lookup_word(word_address)
-            if speculative is not None:
-                return speculative
-        return self.memory.load(word_address)
-
     def _spec_writer_of_line(self, cache, line_address: int) -> Optional[TmProcessor]:
         """The thread whose live transaction wrote a line held in
         ``cache`` (the thread itself or, in an SMT core, a co-resident
@@ -348,17 +373,23 @@ class TmSystem(SpecSystemCore):
             # speculative line (Section 4.5's external-request rule,
             # applied within the core).
             proc.clock += self.params.miss_cycles
-            self.bus.record(MessageKind.NACK, now=proc.clock, port=proc.pid)
-            self.bus.record(MessageKind.FILL, now=proc.clock, port=proc.pid)
+            self.bus.record(_NACK, now=proc.clock, port=proc.pid)
+            self.bus.record(_FILL, now=proc.clock, port=proc.pid)
         elif line is not None:
             proc.clock += self.params.hit_cycles
             observed = line.words[word & 0xF]  # == line.read_word(word)
             # The stale-read oracle only matters on hits: the nack path
             # serves from memory and the miss path rebuilds the line from
-            # memory + the thread's own log, so computing the expected
-            # value there was pure overhead (== _expected_value, inlined).
+            # memory + the thread's own log.  Expected: the thread's own
+            # newest write (lookup_word, single section open-coded), else
+            # committed memory.
             txn = proc.txn
-            expected = txn.lookup_word(word) if txn is not None else None
+            if txn is None:
+                expected = None
+            elif len(txn.sections) == 1:
+                expected = txn.sections[0].write_log.get(word)
+            else:
+                expected = txn.lookup_word(word)
             if expected is None:
                 expected = self.memory.load(word)
             if observed != expected:
@@ -371,15 +402,20 @@ class TmSystem(SpecSystemCore):
             self._miss_fill(proc, byte_address, line_address)
         txn = proc.txn
         if txn is not None:
-            txn.record_load(byte_address)
-            self.scheme.record_load(self, proc, byte_address)
+            # == txn.record_load(byte_address)
+            txn.sections[-1].read_granules.add(line_address)
+            txn._agg_read.add(line_address)
+            record = self._record_load
+            if record is not None:
+                record(self, proc, byte_address)
 
     def _store(self, proc: TmProcessor, byte_address: int, value: int) -> None:
         line_address = byte_address >> LINE_SHIFT
         txn = proc.txn
         if txn is not None:
-            scheme = self.scheme
-            scheme.prepare_store(self, proc, line_address)
+            prepare = self._prepare_store
+            if prepare is not None:
+                prepare(self, proc, line_address)
             # Cache.lookup inlined (dict probe + LRU touch), as in _load.
             cache = proc.cache
             cache_set = cache._sets[line_address & cache._set_mask]
@@ -393,7 +429,9 @@ class TmSystem(SpecSystemCore):
             line.words[(byte_address >> WORD_SHIFT) & 0xF] = value & 0xFFFFFFFF
             line.dirty = True
             txn.record_store(byte_address, value)
-            scheme.record_store(self, proc, byte_address)
+            record = self._record_store
+            if record is not None:
+                record(self, proc, byte_address)
             return
         # Non-speculative store: globally visible immediately.
         self._nonspec_store(proc, byte_address, value, line_address)
@@ -426,42 +464,40 @@ class TmSystem(SpecSystemCore):
         else:
             line = self._miss_fill(proc, byte_address, line_address)
         line.write_word(word, value)
-        # Squash remote transactions that touched the address, then
+        # Squash remote transactions that touched the address (the
+        # scheme yields them in pid order, one at a time), then
         # invalidate remote copies.
-        for other in self.processors:
-            if other is proc or other.txn is None:
-                continue
-            if self.scheme.nonspec_inval_check(self, other, byte_address):
-                exact = (
-                    line_address in other.txn.all_read_granules()
-                    or line_address in other.txn.all_write_granules()
-                )
-                self.squash(
-                    victim=other,
-                    from_section=0,
-                    now=proc.clock,
-                    dependence_granules=1 if exact else 0,
-                    false_positive=not exact,
-                    cause="nonspec-store",
-                )
-        any_copy = False
-        for other in self.processors:
-            if other is proc or other.cache is proc.cache:
-                continue
-            # Cache.invalidate inlined (dict pop + counter): this probe
-            # runs once per remote cache per non-speculative store and
-            # almost always comes back empty.
-            remote_cache = other.cache
-            popped = remote_cache._sets[
-                line_address & remote_cache._set_mask
-            ].pop(line_address, None)
-            if popped is not None:
-                remote_cache.stats.invalidations += 1
-                any_copy = True
-        if any_copy:
-            self.bus.record(
-                MessageKind.INVALIDATION, now=proc.clock, port=proc.pid
+        for other in self.scheme.nonspec_victims(self, proc, byte_address):
+            exact = (
+                line_address in other.txn.all_read_granules()
+                or line_address in other.txn.all_write_granules()
             )
+            self.squash(
+                victim=other,
+                from_section=0,
+                now=proc.clock,
+                dependence_granules=1 if exact else 0,
+                false_positive=not exact,
+                cause="nonspec-store",
+            )
+        if self.invalidate_remote_copies(proc.cache, line_address):
+            self.bus.record(_INVALIDATION, now=proc.clock, port=proc.pid)
+
+    def _holders(self, cache, line_address: int) -> Iterator:
+        """The caches other than ``cache`` holding a line, in ascending
+        pid order (read from the directory)."""
+        holders = self.directory.get(line_address, 0) & ~cache.directory_bit
+        while holders:
+            low = holders & -holders
+            holders ^= low
+            yield self.processors[low.bit_length() - 1].cache
+
+    def invalidate_remote_copies(self, cache, line_address: int) -> bool:
+        """Invalidate other caches' copies of a line; whether any existed."""
+        remotes = list(self._holders(cache, line_address))
+        for remote in remotes:
+            remote.invalidate(line_address)
+        return bool(remotes)
 
     def _miss_fill(self, proc: TmProcessor, byte_address: int, line_address: int):
         """Service a miss: overflow area first (if the scheme says so),
@@ -503,30 +539,23 @@ class TmSystem(SpecSystemCore):
         return line
 
     def _charge_fill_coherence(self, proc: TmProcessor, line_address: int) -> None:
-        self.bus.record(MessageKind.FILL, now=proc.clock, port=proc.pid)
-        for other in self.processors:
-            if other is proc or other.cache is proc.cache:
-                continue
-            # Touch-free Cache.lookup inlined: this probe runs once per
-            # remote cache per miss and almost always comes back empty.
-            cache = other.cache
-            remote = cache._sets[line_address & cache._set_mask].get(line_address)
+        self.bus.record(_FILL, now=proc.clock, port=proc.pid)
+        for cache in self._holders(proc.cache, line_address):
+            remote = cache.lookup(line_address, touch=False)
             if remote is None or not remote.dirty:
                 continue
-            if self._spec_writer_of_line(other.cache, line_address) is not None:
+            if self._spec_writer_of_line(cache, line_address) is not None:
                 # Speculative dirty data (possibly a co-resident thread's
                 # in an SMT core): the request is nacked and memory
                 # responds with the committed version.
-                self.bus.record(
-                    MessageKind.NACK, now=proc.clock, port=proc.pid
-                )
+                self.bus.record(_NACK, now=proc.clock, port=proc.pid)
             else:
                 # Non-speculative dirty: the owner downgrades (its data
                 # matches memory in this model).
                 self.bus.record(
                     MessageKind.DOWNGRADE, now=proc.clock, port=proc.pid
                 )
-                other.cache.clean(line_address)
+                cache.clean(line_address)
             break
 
     def _handle_victim(self, proc: TmProcessor, victim) -> None:
@@ -547,9 +576,7 @@ class TmSystem(SpecSystemCore):
             self.charge_overflow_access(1)
             self.scheme.on_spec_eviction(self, owner)
         else:
-            self.bus.record(
-                MessageKind.WRITEBACK, now=proc.clock, port=proc.pid
-            )
+            self.bus.record(_WRITEBACK, now=proc.clock, port=proc.pid)
 
     # ------------------------------------------------------------------
     # Commit
@@ -639,9 +666,7 @@ class TmSystem(SpecSystemCore):
         for line_address in txn.all_write_lines():
             line = proc.cache.lookup(line_address, touch=False)
             if line is not None and line.dirty:
-                self.bus.record(
-                    MessageKind.WRITEBACK, now=now, port=proc.pid
-                )
+                self.bus.record(_WRITEBACK, now=now, port=proc.pid)
                 proc.cache.clean(line_address)
 
         if proc.overflow_area is not None and proc.overflow_area.allocated:
@@ -804,6 +829,7 @@ class TmSystem(SpecSystemCore):
         for proc in self.processors:
             old.teardown_processor(self, proc)
         self.scheme = new
+        self._bind_hooks()
         new.setup(self)
         for proc in self.processors:
             new.setup_processor(self, proc)

@@ -1,9 +1,12 @@
 """The scheme base class's default hooks (contract documentation)."""
 
+from types import SimpleNamespace
+
 from repro.sim.trace import ThreadTrace, load
 from repro.tm.conflict import TmScheme
 from repro.tm.params import TM_DEFAULTS
 from repro.tm.processor import TmProcessor
+from repro.tm.txstate import TxnState
 
 
 class MinimalScheme(TmScheme):
@@ -28,9 +31,15 @@ class TestDefaults:
         scheme = MinimalScheme()
         assert scheme.receiver_conflict(None, make_proc(), make_proc()) is None
 
-    def test_nonspec_check_defaults_to_false(self):
+    def test_nonspec_victims_default_to_exact_sets(self):
         scheme = MinimalScheme()
-        assert not scheme.nonspec_inval_check(None, make_proc(), 0x100)
+        writer, reader, idle = make_proc(), make_proc(), make_proc()
+        for proc in (writer, reader):
+            proc.txn = TxnState(0, start_cursor=0)
+            proc.txn.record_load(0x100)
+        system = SimpleNamespace(processors=[writer, reader, idle])
+        assert list(scheme.nonspec_victims(system, writer, 0x104)) == [reader]
+        assert list(scheme.nonspec_victims(system, writer, 0x200)) == []
 
     def test_overflow_check_follows_processor_state(self):
         scheme = MinimalScheme()
