@@ -1,10 +1,15 @@
 """Tests for trace events and thread traces."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.errors import TraceError
 from repro.sim.trace import (
     EventKind,
+    MemEvent,
     ThreadTrace,
     compute,
     load,
@@ -28,6 +33,29 @@ class TestEvents:
     def test_compute_needs_positive_cycles(self):
         with pytest.raises(TraceError):
             compute(0)
+
+    def test_events_compare_hash_and_print_field_wise(self):
+        event = store(0x100, 42)
+        assert event == MemEvent(EventKind.STORE, address=0x100, value=42)
+        assert event != load(0x100)
+        assert hash(event) == hash((EventKind.STORE, 0x100, 42, 0))
+        assert repr(event) == (
+            "MemEvent(kind=<EventKind.STORE: 'store'>, address=256, "
+            "value=42, cycles=0)"
+        )
+
+    def test_events_are_immutable(self):
+        event = load(0x100)
+        with pytest.raises(FrozenInstanceError):
+            event.address = 0x200
+        with pytest.raises(FrozenInstanceError):
+            del event.kind
+        assert not hasattr(event, "__dict__")
+
+    def test_events_survive_pickle_and_copy(self):
+        event = compute(7)
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert copy.deepcopy(event) == event
 
 
 class TestThreadTrace:
