@@ -20,7 +20,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.line import CacheLine
 from repro.errors import SimulationError
 from repro.mem.address import LINE_SHIFT, WORD_SHIFT
-from repro.mem.memory import WordMemory
+from repro.mem.memory import WordMemory, overlay_log
 
 
 class LoggedCheckpoint:
@@ -118,15 +118,10 @@ class CheckpointLogStack:
         checkpoint's log contributed to it."""
         words = list(self.memory.load_line(line_address))
         overlaid = False
-        base = line_address << 4
         for checkpoint in self._checkpoints:
             if line_address in checkpoint.written_lines:
                 overlaid = True
-                get = checkpoint.write_log.get
-                for offset in range(16):
-                    value = get(base + offset)
-                    if value is not None:
-                        words[offset] = value
+                overlay_log(words, checkpoint.write_log, line_address)
         return words, overlaid
 
     def line_view(self, line_address: int) -> List[int]:

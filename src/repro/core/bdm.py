@@ -212,7 +212,7 @@ class BulkDisambiguationModule:
         # decode fast path under every substrate's expansion sites
         # (TM/TLS commit and squash invalidation, checkpoint rollback).
         self.decoder = CachedDecoder(config, geometry.num_sets)
-        self._set_mask = geometry.num_sets - 1
+        self._index_mask = geometry.num_sets - 1
         # Per-access fast-path constants, fixed by the configuration:
         # byte address -> granule is one shift, granule -> cache set is a
         # shift plus the mask (== decoder.set_index_of).
@@ -359,7 +359,7 @@ class BulkDisambiguationModule:
         context.write_signature.add_mask(mask)
         if context.shadow_write_signature is not None:
             context.shadow_write_signature.add_mask(mask)
-        set_index = (address >> self._granule_line_shift) & self._set_mask
+        set_index = (address >> self._granule_line_shift) & self._index_mask
         context.delta_mask |= 1 << set_index
         return set_index
 
@@ -374,7 +374,7 @@ class BulkDisambiguationModule:
         Section 4.5: (1, 0) proceed; (0, 0) write back any non-speculative
         dirty lines first; (0, 1) conflict with a preempted context.
         """
-        bit = 1 << (line_address & self._set_mask)
+        bit = 1 << (line_address & self._index_mask)
         running = self.running
         if running is not None and running.delta_mask & bit:
             return _PROCEED

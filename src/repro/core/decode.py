@@ -53,14 +53,14 @@ class DeltaDecoder:
         "_index_bit_count",
         "_groups",
         "_uncovered_bits",
-        "_set_mask",
+        "_index_mask",
         "_vec_state",
     )
 
     def __init__(self, config: SignatureConfig, num_sets: int) -> None:
         self.config = config
         self.num_sets = num_sets
-        self._set_mask = num_sets - 1
+        self._index_mask = num_sets - 1
         self._index_bit_count = line_index_bits(num_sets)
 
         # Which source bits of the (granularity-level) address form the
@@ -154,7 +154,7 @@ class DeltaDecoder:
 
     def set_index_of(self, address: int) -> int:
         """Exact cache set index of one granularity-level address."""
-        return self.config.granularity.line_of(address) & self._set_mask
+        return self.config.granularity.line_of(address) & self._index_mask
 
     def selected_sets(self, signature: Signature) -> List[int]:
         """The set indices selected by delta(S), ascending.

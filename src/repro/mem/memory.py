@@ -14,7 +14,7 @@ actually touched.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.mem.address import WORD_TO_LINE_SHIFT, WORDS_PER_LINE, words_of_line
 
@@ -89,3 +89,23 @@ class WordMemory:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WordMemory({len(self._words)} words touched)"
+
+
+def overlay_log(
+    words: List[int], log: Mapping[int, int], line_address: int
+) -> bool:
+    """Overwrite a line's 16 ``words`` with the values a word-address
+    ``log`` holds for them; whether the log held any.
+
+    The one write-log overlay of the simulators: a speculative unit's
+    log laid over committed memory rebuilds its view of a line.
+    """
+    base = line_address << WORD_TO_LINE_SHIFT
+    get = log.get
+    overlaid = False
+    for offset in range(WORDS_PER_LINE):
+        value = get(base + offset)
+        if value is not None:
+            words[offset] = value
+            overlaid = True
+    return overlaid

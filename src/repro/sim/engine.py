@@ -22,6 +22,8 @@ class MinClockScheduler:
 
     Processors are re-queued with their updated clock after every step;
     a processor that has finished its trace is simply not re-queued.
+    The queue is drained by
+    :meth:`~repro.spec.system.SpecSystemCore.drain`.
 
     ``metrics`` (optional) exposes the queue's work as the
     ``scheduler.pushes`` / ``scheduler.pops`` / ``scheduler.stale_pops``
@@ -57,21 +59,13 @@ class MinClockScheduler:
         if self._push_counter is not None:
             self._push_counter.inc()
 
-    def pop(self) -> Optional[Tuple[int, int, int]]:
-        """The ``(clock, processor, token)`` triple with the smallest
-        clock, or ``None`` when the queue is drained."""
-        if not self._heap:
-            return None
-        if self._pop_counter is not None:
-            self._pop_counter.inc()
-        return heapq.heappop(self._heap)
-
     def account_bulk(self, pushes: int, stale_pops: int) -> None:
         """Credit a drain of the underlying heap, once it is empty.
 
-        The TM system drains ``_heap`` with plain ``heappush``/``heappop``
-        (identical ordering, no per-entry bookkeeping).  It reports the
-        pushes it made and the stale entries it skipped here, so
+        :meth:`~repro.spec.system.SpecSystemCore.drain` pops and
+        pushes ``_heap`` with plain :mod:`heapq` calls (identical
+        ordering, no per-entry bookkeeping).  It reports the pushes it
+        made and the stale entries it skipped here, so
         :attr:`total_steps` and the counters stay correct.  The heap is
         empty, so every entry ever queued was popped exactly once.
         """
@@ -80,12 +74,6 @@ class MinClockScheduler:
             self._push_counter.inc(pushes)
             self._pop_counter.inc(self._enqueued)
             self._stale_counter.inc(stale_pops)
-
-    def note_stale_pop(self) -> None:
-        """Callers report entries they discarded as stale (squash-bumped
-        epochs); purely observational."""
-        if self._stale_counter is not None:
-            self._stale_counter.inc()
 
     def __len__(self) -> int:
         return len(self._heap)

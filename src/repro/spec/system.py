@@ -1,38 +1,44 @@
 """Machinery shared by the substrate system simulators.
 
-``TmSystem`` and ``TlsSystem`` grew the same plumbing twice: unpack the
-observability bundle, build the bus, resolve metric handles, charge the
-commit bus occupancy, count and trace commits and squashes, time units
-from begin/dispatch to commit, and write back non-speculative dirty
-lines for the Set Restriction.  :class:`SpecSystemCore` is that plumbing
-once; the substrate systems inherit it and keep only the protocol logic
-that genuinely differs.
+``TmSystem`` and ``TlsSystem`` grew the same plumbing twice: the bus and
+observability wiring, commit and squash accounting, unit timers, Set
+Restriction writebacks, and underneath the protocols the machine itself
+— a min-clock scheduler drained in ``(clock, pid, epoch)`` order and
+private caches kept coherent through a line-holder directory.
+:class:`SpecSystemCore` is all of that once; the substrate systems
+inherit it and keep only the protocol logic that genuinely differs.
 
-The core is deliberately *not* a scheduler or a run loop — TM's
-transaction retry dance, TLS's in-order task commit window, and the
-checkpoint substrate's rollback re-execution share no useful control
-flow.  What they share is accounting, and accounting is exactly what
-must stay byte-identical across the refactor: every helper here emits
-the same metric names and the same trace events, in the same order, as
-the code it replaced.
+The run loop is :meth:`SpecSystemCore.drain`: a substrate supplies its
+step, stale-entry test and requeue decision, and TLS also the in-order
+commit gate run before every step.  The single-processor checkpoint
+substrate has no scheduler and uses only the accounting.  Every helper
+emits the same metric names and trace events, in the same order, as the
+code it replaced.
 
 Subclasses call :meth:`_init_spec_core` from their constructor after
 setting ``self.scheme``, and must provide a ``stats`` object whose class
 derives from :class:`~repro.spec.stats.SpecStats` (the ``commits``
-accessor feeds the ``run.end`` event).
+accessor feeds the ``run.end`` event).  Systems that drain or share a
+directory keep ``self.processors``, indexed by pid.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import heapq
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.coherence.message import BandwidthCategory, MessageKind
 from repro.interconnect import DEFAULT_INTERCONNECT, TimedBus, build_bus
 from repro.obs import Observability
+from repro.sim.engine import MinClockScheduler
 
 
 class SpecSystemCore:
-    """Shared bus construction, metrics wiring, and obs-event helpers."""
+    """Shared bus, run loop, line-holder directory and obs helpers."""
+
+    #: A fill's reply from a remote *speculative* dirty copy: TM nacks
+    #: (memory serves the committed version); TLS forwards the data.
+    speculative_fill_reply = MessageKind.NACK
 
     def _init_spec_core(
         self,
@@ -89,6 +95,122 @@ class SpecSystemCore:
         self._swap_count = 0
         self._resident_since = 0
         self._resident_cycles: Dict[str, int] = {}
+        #: The run's scheduler while :meth:`drain` runs, else ``None``.
+        self._scheduler: Optional[MinClockScheduler] = None
+
+    # ------------------------------------------------------------------
+    # Run loop
+    # ------------------------------------------------------------------
+
+    def open_scheduler(self) -> MinClockScheduler:
+        """Start a run's scheduler; queue the first steps on it, then
+        call :meth:`drain`."""
+        self._scheduler = MinClockScheduler(self.metrics)
+        return self._scheduler
+
+    def drain(
+        self,
+        step: Callable[[Any], None],
+        stale: Callable[[Any, int], bool],
+        requeue: Callable[[Any], bool],
+        gate: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        """Step processors in ``(clock, pid, epoch)`` order until the
+        scheduler's heap is empty.
+
+        A popped entry runs ``gate(clock)`` (if given), is skipped and
+        counted when ``stale(proc, epoch)``, else steps its processor.
+        While ``requeue(proc)`` (which may bump the epoch) asks for
+        another step and the new entry would pop straight back off the
+        heap, the processor keeps stepping, gate and stale test
+        included; each such entry counts as a push.  Mid-step pushes go
+        through ``self._scheduler.push`` into the same heap.
+        """
+        scheduler = self._scheduler
+        heap = scheduler._heap
+        processors = self.processors
+        push, pop = heapq.heappush, heapq.heappop
+        pushes = stale_pops = 0
+        while heap:
+            clock, pid, epoch = pop(heap)
+            proc = processors[pid]
+            if gate is not None:
+                gate(clock)
+            if stale(proc, epoch):
+                stale_pops += 1
+                continue
+            step(proc)
+            while requeue(proc):
+                entry = (proc.clock, pid, proc.epoch)
+                pushes += 1
+                if heap and not entry < heap[0]:
+                    push(heap, entry)
+                    break
+                if gate is not None:
+                    gate(entry[0])
+                    if stale(proc, entry[2]):
+                        stale_pops += 1
+                        break
+                step(proc)
+        scheduler.account_bulk(pushes, stale_pops)
+        self._scheduler = None
+
+    # ------------------------------------------------------------------
+    # Line-holder directory
+    # ------------------------------------------------------------------
+
+    def share_directory(self) -> None:
+        """Give the processors' caches one line-holder directory.
+
+        A cache shared by several processors (SMT cores) owns the bit of
+        its lowest pid, so :meth:`_holders` visits holders in ascending
+        pid order.  Call after the caches are assigned.
+        """
+        self.directory: Dict[int, int] = {}
+        for proc in reversed(self.processors):
+            proc.cache.directory = self.directory
+            proc.cache.directory_bit = 1 << proc.pid
+
+    def _holders(self, cache: Any, line_address: int) -> Iterator[Any]:
+        """The processors whose caches, other than ``cache``, hold a
+        line, in ascending pid order (one per distinct cache)."""
+        holders = self.directory.get(line_address, 0) & ~cache.directory_bit
+        processors = self.processors
+        while holders:
+            low = holders & -holders
+            holders ^= low
+            yield processors[low.bit_length() - 1]
+
+    def charge_fill_coherence(self, proc: Any, line_address: int) -> None:
+        """Charge a miss fill and the read of a line dirty in a remote
+        cache; the first dirty holder answers.
+
+        A *non-speculative* dirty copy (committed data, which mirrors
+        memory in this model) is downgraded to clean, so a line a
+        committer wrote can never still be dirty non-speculative in
+        another cache (Bulk's commit-side invalidation argument, Section
+        4.3).  A speculative dirty copy (``_speculative_dirty``) stays
+        dirty, its owner's log backing it.
+        """
+        now, port = proc.clock, proc.pid
+        self.bus.record(MessageKind.FILL, now=now, port=port)
+        for holder in self._holders(proc.cache, line_address):
+            remote = holder.cache.lookup(line_address, touch=False)
+            if remote is None or not remote.dirty:
+                continue
+            if self._speculative_dirty(holder, line_address):
+                self.bus.record(self.speculative_fill_reply, now=now, port=port)
+            else:
+                self.bus.record(MessageKind.DOWNGRADE, now=now, port=port)
+                holder.cache.clean(line_address)
+            break
+
+    def invalidate_remote_copies(self, cache: Any, line_address: int) -> bool:
+        """Invalidate other caches' copies of a line; whether any existed."""
+        remotes = list(self._holders(cache, line_address))
+        for remote in remotes:
+            remote.cache.invalidate(line_address)
+        return bool(remotes)
 
     # ------------------------------------------------------------------
     # Signature backend

@@ -69,14 +69,9 @@ class TlsEagerScheme(TlsScheme):
         what a coherence upgrade would do.  The invalidation message is
         charged only when sharers actually exist.
         """
-        line_address = byte_to_line(byte_address)
-        any_copy = False
-        for other_proc in system.processors:
-            if other_proc is proc:
-                continue
-            if other_proc.cache.invalidate(line_address) is not None:
-                any_copy = True
-        if any_copy:
+        if system.invalidate_remote_copies(
+            proc.cache, byte_to_line(byte_address)
+        ):
             system.bus.record(MessageKind.INVALIDATION)
 
     # ------------------------------------------------------------------

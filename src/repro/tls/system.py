@@ -28,9 +28,8 @@ from repro.cache.cache import Cache
 from repro.coherence.message import MessageKind
 from repro.errors import SimulationError
 from repro.mem.address import LINE_SHIFT, WORD_SHIFT
-from repro.mem.memory import WordMemory
+from repro.mem.memory import WordMemory, overlay_log
 from repro.obs import Observability
-from repro.sim.engine import MinClockScheduler
 from repro.sim.trace import EventKind, MemEvent
 from repro.spec.system import SpecSystemCore
 from repro.tls.conflict import TlsScheme
@@ -60,6 +59,12 @@ class TlsProcessor:
         )
 
 
+def _stale(proc: TlsProcessor, epoch: int) -> bool:
+    """A heap entry is stale once its processor was re-queued: every
+    queueing bumps the epoch."""
+    return epoch != proc.epoch
+
+
 @dataclass
 class TlsRunResult:
     """Everything a finished TLS run exposes."""
@@ -73,6 +78,9 @@ class TlsRunResult:
 
 class TlsSystem(SpecSystemCore):
     """A 4-processor (by default) TLS machine running one scheme."""
+
+    #: A speculative dirty copy serves the fill by forwarding.
+    speculative_fill_reply = MessageKind.DOWNGRADE
 
     def __init__(
         self,
@@ -104,6 +112,7 @@ class TlsSystem(SpecSystemCore):
             TlsProcessor(pid, params.geometry)
             for pid in range(params.num_processors)
         ]
+        self.share_directory()
         #: Index of the oldest uncommitted task.
         self.head = 0
         #: Lowest task id not yet dispatched.
@@ -114,7 +123,6 @@ class TlsSystem(SpecSystemCore):
         self.collect_samples = collect_samples
         self.max_samples = max_samples
         self.samples: List = []
-        self._scheduler: Optional[MinClockScheduler] = None
         for proc in self.processors:
             scheme.setup_processor(self, proc)
         self.attach_swap_policy(policy)
@@ -128,39 +136,13 @@ class TlsSystem(SpecSystemCore):
         self.trace_run_begin(
             "tls", processors=len(self.processors), tasks=len(self.tasks)
         )
-        scheduler = MinClockScheduler(self.metrics)
-        self._scheduler = scheduler
+        self.open_scheduler()
         self._dispatch_all(now=0)
         for proc in self.processors:
             self._schedule(proc)
-        tasks = self.tasks
-        num_tasks = len(tasks)
-        while True:
-            entry = scheduler.pop()
-            if entry is None:
-                break
-            clock, pid, epoch = entry
-            proc = self.processors[pid]
-            # Commits are processed in global clock order: any waiting
-            # head task whose finish time is at or before this entry's
-            # clock commits *before* the entry's own work runs.  The
-            # guard is _try_commits' own first test, hoisted: almost
-            # every pop finds no head task ready to commit.
-            if self.head < num_tasks:
-                head = tasks[self.head]
-                if (
-                    head.status is TaskStatus.WAITING
-                    and head.finish_clock <= clock
-                ):
-                    self._try_commits(up_to=clock)
-            if epoch != proc.epoch:
-                scheduler.note_stale_pop()
-                continue
-            self._step(proc)
-            self._schedule(proc)
+        self.drain(self._step, _stale, self._requeue, self._try_commits)
         # Drain any commits still pending when the queue empties.
         self._try_commits(up_to=None)
-        self._scheduler = None
 
         uncommitted = [
             t.task_id for t in self.tasks if t.status is not TaskStatus.COMMITTED
@@ -231,10 +213,13 @@ class TlsSystem(SpecSystemCore):
             proc.epoch += 1
             self._scheduler.push(proc.clock, proc.pid, proc.epoch)
 
-    def _wake(self, proc: TlsProcessor) -> None:
-        """Re-queue a processor whose schedule changed (squash, commit,
-        re-spawn, gate release)."""
-        self._schedule(proc)
+    def _requeue(self, proc: TlsProcessor) -> bool:
+        """After a step, whether the processor steps again (under a new
+        epoch, as :meth:`_schedule` would queue it)."""
+        if self._runnable_task(proc) is None:
+            return False
+        proc.epoch += 1
+        return True
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -295,7 +280,7 @@ class TlsSystem(SpecSystemCore):
                 clock=proc.clock,
             )
         self.scheme.on_dispatch(self, proc, state)
-        self._wake(proc)
+        self._schedule(proc)
 
     # ------------------------------------------------------------------
     # One step of one processor
@@ -353,7 +338,7 @@ class TlsSystem(SpecSystemCore):
                     child_proc = self.processors[child_state.proc]
                     child_proc.clock = max(child_proc.clock, proc.clock)
                     self.scheme.on_respawn(self, child_proc, child_state)
-                    self._wake(child_proc)
+                    self._schedule(child_proc)
 
     # ------------------------------------------------------------------
     # Loads and stores
@@ -377,14 +362,11 @@ class TlsSystem(SpecSystemCore):
         # Shifts inlined (== byte_to_word / byte_to_line): per-access path.
         word = byte_address >> WORD_SHIFT
         line_address = byte_address >> LINE_SHIFT
-        # Cache.lookup inlined (dict probe + LRU touch), and the expected
-        # value computed only when a hit needs the version check — the
-        # miss path rebuilds the line from logs + memory anyway.
-        cache = proc.cache
-        cache_set = cache._sets[line_address & cache._set_mask]
-        line = cache_set.get(line_address)
+        # The expected value is computed only when a hit needs the
+        # version check — the miss path rebuilds the line from logs +
+        # memory anyway.
+        line = proc.cache.lookup(line_address)
         if line is not None:
-            cache_set.move_to_end(line_address)
             observed = line.words[word & 0xF]  # == line.read_word(word)
             expected = self._expected_value(state, word)
             if observed != expected and self.scheme.stale_hit_refetches:
@@ -424,18 +406,12 @@ class TlsSystem(SpecSystemCore):
             )
             state.blocked_on = gate
             return False
-        # Cache.lookup inlined (dict probe + LRU touch), as in _load.
-        cache = proc.cache
-        cache_set = cache._sets[line_address & cache._set_mask]
-        line = cache_set.get(line_address)
+        line = proc.cache.lookup(line_address)
         if line is not None:
-            cache_set.move_to_end(line_address)
             proc.clock += self.params.hit_cycles
         else:
             line = self._miss_fill(proc, state, line_address)
         line.write_word(byte_address >> WORD_SHIFT, event.value)
-        if not line.dirty:  # pragma: no cover - write_word always dirties
-            raise SimulationError("store left the line clean")
         state.record_store(byte_address, event.value)
         self.scheme.record_store(self, proc, state, byte_address)
         return True
@@ -443,7 +419,6 @@ class TlsSystem(SpecSystemCore):
     def _miss_fill(self, proc: TlsProcessor, state: TaskState, line_address: int):
         proc.clock += self.params.miss_cycles
         words = list(self.memory.load_line(line_address))
-        base = line_address << 4
         dirty = False
         # Eager forwarding: overlay the logs of active tasks up to and
         # including this one, oldest first (Section 6.3's "speculative
@@ -452,15 +427,10 @@ class TlsSystem(SpecSystemCore):
             other = self.tasks[task_id]
             if line_address not in other.written_lines or not other.is_active():
                 continue
-            log = other.write_log
-            for offset in range(16):
-                value = log.get(base + offset)
-                if value is not None:
-                    words[offset] = value
-                    if task_id == state.task_id:
-                        dirty = True
-        self.bus.record(MessageKind.FILL, now=proc.clock, port=proc.pid)
-        self._downgrade_remote_dirty(proc, line_address)
+            overlaid = overlay_log(words, other.write_log, line_address)
+            if overlaid and task_id == state.task_id:
+                dirty = True
+        self.charge_fill_coherence(proc, line_address)
         victim = proc.cache.fill(line_address, words, dirty=dirty)
         if victim is not None and victim.dirty:
             self.bus.record(
@@ -469,31 +439,6 @@ class TlsSystem(SpecSystemCore):
         line = proc.cache.lookup(line_address, touch=False)
         assert line is not None
         return line
-
-    def _downgrade_remote_dirty(self, proc: TlsProcessor, line_address: int) -> None:
-        """Invalidation-protocol read of a line dirty in a remote cache.
-
-        A *non-speculative* dirty copy (committed data, which mirrors
-        memory in this model) is downgraded to clean.  This matters for
-        Bulk's commit-side invalidation argument (Section 4.3): a line a
-        committer wrote can never still be dirty non-speculative in
-        another cache, because the committer's own fill downgraded it.
-        Speculative dirty copies stay dirty — their owners' logs back
-        them — and serve forwarding.
-        """
-        for other in self.processors:
-            if other is proc:
-                continue
-            remote = other.cache.lookup(line_address, touch=False)
-            if remote is None or not remote.dirty:
-                continue
-            speculative = self._speculative_dirty(other, line_address)
-            self.bus.record(
-                MessageKind.DOWNGRADE, now=proc.clock, port=proc.pid
-            )
-            if not speculative:
-                other.cache.clean(line_address)
-            break
 
     def _speculative_dirty(self, proc: TlsProcessor, line_address: int) -> bool:
         """Whether a dirty copy on ``proc`` holds an active resident
@@ -552,7 +497,12 @@ class TlsSystem(SpecSystemCore):
 
     def _try_commits(self, up_to: Optional[int]) -> None:
         """Commit the head task (and cascades) whose finish time is at or
-        before ``up_to`` (``None`` = unconditionally)."""
+        before ``up_to`` (``None`` = unconditionally).
+
+        The run loop's gate: commits are processed in global clock
+        order, so a waiting head task that finished by a step's clock
+        commits *before* the step runs.
+        """
         while self.head < len(self.tasks):
             state = self.tasks[self.head]
             if state.status is not TaskStatus.WAITING:
@@ -640,7 +590,7 @@ class TlsSystem(SpecSystemCore):
         self.head += 1
         self._dispatch_all(commit_time)
         for other_proc in self.processors:
-            self._wake(other_proc)
+            self._schedule(other_proc)
         if self._swap_policy is not None:
             self._maybe_policy_swap(commit_time)
 
@@ -703,7 +653,7 @@ class TlsSystem(SpecSystemCore):
             # The task timer measures the attempt that commits; restart
             # the measurement at the replay's start.
             self.start_unit_timer(state.task_id, proc.clock)
-            self._wake(proc)
+            self._schedule(proc)
 
     # ------------------------------------------------------------------
     # Scheme hot-swap
@@ -758,7 +708,7 @@ class TlsSystem(SpecSystemCore):
         for proc in self.processors:
             new.import_processor_state(self, proc, exports[proc.pid])
         for proc in self.processors:
-            self._wake(proc)
+            self._schedule(proc)
         return squashed
 
     # ------------------------------------------------------------------
@@ -773,17 +723,11 @@ class TlsSystem(SpecSystemCore):
         if line is None:
             return
         words = list(self.memory.load_line(line_address))
-        base = line_address << 4
         dirty = False
         for task_id in proc.resident:
             state = self.tasks[task_id]
-            if line_address not in state.written_lines or not state.is_active():
-                continue
-            for offset in range(16):
-                value = state.write_log.get(base + offset)
-                if value is not None:
-                    words[offset] = value
-                    dirty = True
+            if line_address in state.written_lines and state.is_active():
+                dirty = overlay_log(words, state.write_log, line_address) or dirty
         line.words = words
         line.dirty = dirty
 

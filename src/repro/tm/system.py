@@ -22,16 +22,14 @@ The simulator enforces two oracles while running:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.coherence.message import MessageKind
 from repro.errors import SimulationError
 from repro.mem.address import LINE_SHIFT, WORD_SHIFT
-from repro.mem.memory import WordMemory
+from repro.mem.memory import WordMemory, overlay_log
 from repro.obs import Observability
-from repro.sim.engine import MinClockScheduler
 from repro.sim.trace import EventKind, ThreadTrace
 from repro.spec.system import SpecSystemCore
 from repro.tm.conflict import TmScheme
@@ -51,6 +49,17 @@ _TX_BEGIN, _TX_END = EventKind.TX_BEGIN, EventKind.TX_END
 _FILL, _NACK, _WRITEBACK, _INVALIDATION = (
     MessageKind.FILL, MessageKind.NACK, MessageKind.WRITEBACK, MessageKind.INVALIDATION
 )
+
+
+def _stale(proc: TmProcessor, epoch: int) -> bool:
+    """A heap entry is stale once its processor finished, was re-queued
+    under a new epoch, or stalls behind another transaction."""
+    return proc.done or epoch != proc.epoch or proc.waiting_on is not None
+
+
+def _requeue(proc: TmProcessor) -> bool:
+    """A processor steps again unless it finished or stalls."""
+    return not proc.done and proc.waiting_on is None
 
 
 @dataclass
@@ -117,18 +126,11 @@ class TmSystem(SpecSystemCore):
                     * params.threads_per_core
                 ]
                 proc.cache = first.cache
-        #: The line-holder directory of the machine's caches: each
-        #: distinct cache's bit is that of its lowest pid, so holders
-        #: are visited in ascending pid order.
-        self.directory: Dict[int, int] = {}
-        for proc in reversed(self.processors):
-            proc.cache.directory = self.directory
-            proc.cache.directory_bit = 1 << proc.pid
+        self.share_directory()
         self.collect_samples = collect_samples
         self.max_samples = max_samples
         self.samples: List[DisambiguationSample] = []
         self.commit_order: List[int] = []
-        self._scheduler: Optional[MinClockScheduler] = None
         #: Logs of committed (txn id -> write log) in commit order, used
         #: by the serialisability oracle.
         self.committed_logs: List[Tuple[int, Dict[int, int]]] = []
@@ -148,42 +150,14 @@ class TmSystem(SpecSystemCore):
             processors=len(self.processors),
             events=sum(len(p.trace.events) for p in self.processors),
         )
-        scheduler = MinClockScheduler(self.metrics)
-        self._scheduler = scheduler
-        processors = self.processors
-        for proc in processors:
+        scheduler = self.open_scheduler()
+        for proc in self.processors:
             if proc.at_end():
                 proc.done = True
             else:
                 scheduler.push(proc.clock, proc.pid, proc.epoch)
         self._bind_hooks()
-        step = self._step
-        # Drain the scheduler's heap directly: plain heappush/heappop,
-        # with pushes and stale pops counted here and credited once.
-        # Mid-step pushes (squash re-queues, waiter releases) go through
-        # scheduler.push into the same heap and are seen here.
-        heap = scheduler._heap
-        heappush_ = heapq.heappush
-        heappop_ = heapq.heappop
-        pushes = stale_pops = 0
-        while heap:
-            _, pid, epoch = heappop_(heap)
-            proc = processors[pid]
-            if proc.done or epoch != proc.epoch or proc.waiting_on is not None:
-                stale_pops += 1
-                continue
-            step(proc)
-            # Keep stepping while the processor's entry would pop straight
-            # back off the heap; each extra step counts as the push it saves.
-            while not proc.done and proc.waiting_on is None:
-                entry = (proc.clock, pid, proc.epoch)
-                pushes += 1
-                if heap and not entry < heap[0]:
-                    heappush_(heap, entry)
-                    break
-                step(proc)
-        scheduler.account_bulk(pushes, stale_pops)
-        self._scheduler = None
+        self.drain(self._step, _stale, _requeue)
 
         stuck = [p.pid for p in self.processors if not p.done]
         if stuck:
@@ -356,13 +330,7 @@ class TmSystem(SpecSystemCore):
         # Shifts inlined (== byte_to_word / byte_to_line): per-access path.
         word = byte_address >> WORD_SHIFT
         line_address = byte_address >> LINE_SHIFT
-        # Cache.lookup inlined (same dict probe + LRU touch): this is the
-        # single hottest call site in the simulator.
-        cache = proc.cache
-        cache_set = cache._sets[line_address & cache._set_mask]
-        line = cache_set.get(line_address)
-        if line is not None:
-            cache_set.move_to_end(line_address)
+        line = proc.cache.lookup(line_address)
         if line is not None and line.dirty and (
             self._coresident_spec_owner(proc, line_address) is not None
         ):
@@ -416,12 +384,8 @@ class TmSystem(SpecSystemCore):
             prepare = self._prepare_store
             if prepare is not None:
                 prepare(self, proc, line_address)
-            # Cache.lookup inlined (dict probe + LRU touch), as in _load.
-            cache = proc.cache
-            cache_set = cache._sets[line_address & cache._set_mask]
-            line = cache_set.get(line_address)
+            line = proc.cache.lookup(line_address)
             if line is not None:
-                cache_set.move_to_end(line_address)
                 proc.clock += self.params.hit_cycles
             else:
                 line = self._miss_fill(proc, byte_address, line_address)
@@ -454,12 +418,8 @@ class TmSystem(SpecSystemCore):
                 if owner is not None and owner.owner != proc.pid:
                     self.squash_preempted_context(proc, owner)
         self.memory.store(word, value)
-        # Cache.lookup inlined (dict probe + LRU touch), as in _load.
-        cache = proc.cache
-        cache_set = cache._sets[line_address & cache._set_mask]
-        line = cache_set.get(line_address)
+        line = proc.cache.lookup(line_address)
         if line is not None:
-            cache_set.move_to_end(line_address)
             proc.clock += self.params.hit_cycles
         else:
             line = self._miss_fill(proc, byte_address, line_address)
@@ -482,22 +442,6 @@ class TmSystem(SpecSystemCore):
             )
         if self.invalidate_remote_copies(proc.cache, line_address):
             self.bus.record(_INVALIDATION, now=proc.clock, port=proc.pid)
-
-    def _holders(self, cache, line_address: int) -> Iterator:
-        """The caches other than ``cache`` holding a line, in ascending
-        pid order (read from the directory)."""
-        holders = self.directory.get(line_address, 0) & ~cache.directory_bit
-        while holders:
-            low = holders & -holders
-            holders ^= low
-            yield self.processors[low.bit_length() - 1].cache
-
-    def invalidate_remote_copies(self, cache, line_address: int) -> bool:
-        """Invalidate other caches' copies of a line; whether any existed."""
-        remotes = list(self._holders(cache, line_address))
-        for remote in remotes:
-            remote.invalidate(line_address)
-        return bool(remotes)
 
     def _miss_fill(self, proc: TmProcessor, byte_address: int, line_address: int):
         """Service a miss: overflow area first (if the scheme says so),
@@ -524,39 +468,18 @@ class TmSystem(SpecSystemCore):
             # write-lines test gates the 16-word merge: log keys' lines
             # are exactly the write-lines set, so an uncovered line has
             # nothing to overlay.
-            log = proc.txn.merged_write_log()
-            base = line_address << 4
-            for offset in range(16):
-                value = log.get(base + offset)
-                if value is not None:
-                    words[offset] = value
-                    dirty = True
-        self._charge_fill_coherence(proc, line_address)
+            dirty = overlay_log(words, proc.txn.merged_write_log(), line_address)
+        self.charge_fill_coherence(proc, line_address)
         victim = proc.cache.fill(line_address, words, dirty=dirty)
         self._handle_victim(proc, victim)
         line = proc.cache.lookup(line_address, touch=False)
         assert line is not None
         return line
 
-    def _charge_fill_coherence(self, proc: TmProcessor, line_address: int) -> None:
-        self.bus.record(_FILL, now=proc.clock, port=proc.pid)
-        for cache in self._holders(proc.cache, line_address):
-            remote = cache.lookup(line_address, touch=False)
-            if remote is None or not remote.dirty:
-                continue
-            if self._spec_writer_of_line(cache, line_address) is not None:
-                # Speculative dirty data (possibly a co-resident thread's
-                # in an SMT core): the request is nacked and memory
-                # responds with the committed version.
-                self.bus.record(_NACK, now=proc.clock, port=proc.pid)
-            else:
-                # Non-speculative dirty: the owner downgrades (its data
-                # matches memory in this model).
-                self.bus.record(
-                    MessageKind.DOWNGRADE, now=proc.clock, port=proc.pid
-                )
-                cache.clean(line_address)
-            break
+    def _speculative_dirty(self, holder: TmProcessor, line_address: int) -> bool:
+        """Whether a live transaction on ``holder``'s cache (possibly a
+        co-resident thread's, in an SMT core) wrote the line."""
+        return self._spec_writer_of_line(holder.cache, line_address) is not None
 
     def _handle_victim(self, proc: TmProcessor, victim) -> None:
         if victim is None or not victim.dirty:

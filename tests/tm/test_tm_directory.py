@@ -1,12 +1,16 @@
-"""The TM line-holder directory against a rebuild from the caches.
+"""The line-holder directory against a rebuild from the caches.
 
-``TmSystem.directory`` maps each cached line to a bitmask of the caches
-holding it; coherence probes (miss fills, non-speculative stores, Eager's
-ownership claims) visit only those caches.  Here ``_step`` is wrapped so
-that after every step the directory must equal one rebuilt from every
-cache's sets.  Two planted mutants, each dropping one removal path, show
-that the oracle catches a stale directory; the one on the invalidation
-path also trips the simulator's stale-read check.
+``SpecSystemCore.directory`` maps each cached line to a bitmask of the
+caches holding it; coherence probes (TM miss fills, non-speculative
+stores and Eager ownership claims; TLS fill downgrades and Eager store
+invalidations) visit only those caches.  Here ``_step`` is wrapped so
+that after every step of a TM or TLS run the directory must equal one
+rebuilt from every cache's sets, and TLS Eager's ``record_store`` so
+that no remote copy survives a store.  Two planted mutants, each
+dropping one removal path, show that the oracle catches a stale
+directory; the one on the invalidation path also trips the simulator's
+stale-read check.  A third, an Eager TLS store that skips one holder,
+shows that it catches a missed invalidation.
 """
 
 from __future__ import annotations
@@ -19,12 +23,18 @@ import pytest
 
 from repro.cache.cache import Cache
 from repro.cache.geometry import CacheGeometry
+from repro.coherence.message import MessageKind
 from repro.errors import SimulationError
+from repro.mem.address import LINE_SHIFT
 from repro.obs import Observability
-from repro.spec import scheme_entries
+from repro.spec import resolve_scheme, scheme_entries, scheme_names
+from repro.tls.eager import TlsEagerScheme
+from repro.tls.params import TLS_DEFAULTS
+from repro.tls.system import TlsSystem
 from repro.tm.params import TM_DEFAULTS
 from repro.tm.system import TmSystem
 from repro.workloads.kernels import build_tm_workload
+from repro.workloads.tls_spec import build_tls_workload
 
 #: 32 sets x 2 ways: the kernels evict constantly, and a rebuild after
 #: every step stays cheap.
@@ -42,7 +52,13 @@ def build(app: str, scheme: str, policy: Optional[str] = None,
     return TmSystem(traces, entry.factory(), params, obs=obs, policy=policy)
 
 
-def rebuilt(system: TmSystem) -> Dict[int, int]:
+def build_tls(scheme: str) -> TlsSystem:
+    params = replace(TLS_DEFAULTS, geometry=SMALL)
+    tasks = build_tls_workload("vpr", num_tasks=40, seed=42)
+    return TlsSystem(tasks, resolve_scheme("tls", scheme), params)
+
+
+def rebuilt(system) -> Dict[int, int]:
     """The directory as the caches' contents say it must be: each
     distinct cache contributes the bit of its lowest pid."""
     expected: Dict[int, int] = {}
@@ -61,9 +77,20 @@ def rebuilt(system: TmSystem) -> Dict[int, int]:
     return expected
 
 
-def with_oracle(system: TmSystem) -> TmSystem:
+def with_oracle(system):
     step = system._step
     checked = []
+    if isinstance(system.scheme, TlsEagerScheme):
+        record_store = system.scheme.record_store
+
+        def checked_record_store(system_, proc, state, byte_address):
+            record_store(system_, proc, state, byte_address)
+            line_address = byte_address >> LINE_SHIFT
+            assert system.directory[line_address] == proc.cache.directory_bit, (
+                f"a remote copy of line 0x{line_address:x} survived an Eager store"
+            )
+
+        system.scheme.record_store = checked_record_store
 
     def checked_step(proc):
         step(proc)
@@ -88,6 +115,10 @@ CASES = {
         obs=Observability(),
     ),
 }
+CASES.update(
+    {f"tls-{scheme}": (lambda scheme=scheme: build_tls(scheme))
+     for scheme in scheme_names("tls")}
+)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -100,6 +131,8 @@ def test_directory_matches_the_caches_after_every_step(case):
         assert system.metrics.counter("scheme.swaps").value > 0
     if case == "smt":
         assert len({id(proc.cache) for proc in system.processors}) == 4
+    evictions = sum(proc.cache.stats.evictions for proc in system.processors)
+    assert evictions > 0
 
 
 def plant(monkeypatch, skipped_caller: str) -> None:
@@ -129,3 +162,17 @@ def test_missed_invalidate_removal_trips_a_stale_read(monkeypatch):
     plant(monkeypatch, "invalidate")
     with pytest.raises(SimulationError, match="stale read"):
         build("sjbb2k", "Eager").run()
+
+
+def test_oracle_kills_an_eager_tls_store_that_skips_a_holder(monkeypatch):
+    def mutant(self, system, proc, state, byte_address):
+        line_address = byte_address >> LINE_SHIFT
+        remotes = list(system._holders(proc.cache, line_address))
+        for remote in remotes[1:]:
+            remote.cache.invalidate(line_address)
+        if remotes:
+            system.bus.record(MessageKind.INVALIDATION)
+
+    monkeypatch.setattr(TlsEagerScheme, "record_store", mutant)
+    with pytest.raises(AssertionError, match="survived an Eager store"):
+        with_oracle(build_tls("Eager")).run()
